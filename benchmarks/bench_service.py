@@ -76,7 +76,7 @@ class TestAdmissionThroughput:
         assert admitted > 0
 
     def test_service_no_journal(self, benchmark, tiny_tree):
-        with AdmissionService(NetworkManager(tiny_tree), workers=2) as service:
+        with AdmissionService(NetworkManager(tiny_tree)) as service:
 
             def submit(request):
                 return service.submit(request, wait=True).request_id
@@ -89,7 +89,7 @@ class TestAdmissionThroughput:
     def test_service_with_journal(self, benchmark, tiny_tree, tmp_path):
         store = DurabilityStore(tmp_path / "journal", snapshot_every=500)
         manager = NetworkManager(tiny_tree)
-        with AdmissionService(manager, store=store, workers=2) as service:
+        with AdmissionService(manager, store=store) as service:
 
             def submit(request):
                 return service.submit(request, wait=True).request_id
@@ -116,7 +116,7 @@ def run_open_loop_once(
     linger_s: float = 0.0,
     wait_timeout_s: float = 600.0,
 ) -> Dict:
-    """Saturate a single-worker service with same-shape SVC requests.
+    """Saturate the service with same-shape SVC requests.
 
     Open loop: every request is submitted ``wait=False`` up front, so the
     arrival process never throttles on decisions and the queue depth is what
@@ -129,7 +129,6 @@ def run_open_loop_once(
     manager = NetworkManager(tree)
     service = AdmissionService(
         manager,
-        workers=1,
         batch_max=batch_max,
         batch_linger_s=linger_s,
         max_queue_depth=None,
@@ -228,7 +227,6 @@ def run_open_loop(
         "mean": mean,
         "std": std,
         "batch_linger_ms": linger_ms,
-        "workers": 1,
         "batch_sizes": results,
     }
     if baseline is not None and "32" in results:

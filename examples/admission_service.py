@@ -54,7 +54,7 @@ def main() -> None:
 
     store = DurabilityStore(workdir, snapshot_every=40)
     manager = NetworkManager(tree)
-    service = AdmissionService(manager, store=store, workers=4).start()
+    service = AdmissionService(manager, store=store).start()
     threads = [threading.Thread(target=client, args=(service, s)) for s in range(4)]
     for thread in threads:
         thread.start()

@@ -17,6 +17,7 @@ under the outage constraint of Eq. (1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -62,8 +63,8 @@ class DeterministicVC(VirtualClusterRequest):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.bandwidth < 0.0:
-            raise ValueError(f"bandwidth must be >= 0, got {self.bandwidth}")
+        if not math.isfinite(self.bandwidth) or self.bandwidth < 0.0:
+            raise ValueError(f"bandwidth must be finite and >= 0, got {self.bandwidth}")
 
     @property
     def is_deterministic(self) -> bool:
@@ -94,10 +95,10 @@ class HomogeneousSVC(VirtualClusterRequest):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.mean < 0.0:
-            raise ValueError(f"mean demand must be >= 0, got {self.mean}")
-        if self.std < 0.0:
-            raise ValueError(f"demand std must be >= 0, got {self.std}")
+        if not math.isfinite(self.mean) or self.mean < 0.0:
+            raise ValueError(f"mean demand must be finite and >= 0, got {self.mean}")
+        if not math.isfinite(self.std) or self.std < 0.0:
+            raise ValueError(f"demand std must be finite and >= 0, got {self.std}")
 
     @property
     def is_deterministic(self) -> bool:

@@ -122,7 +122,6 @@ class LocalShard(ShardHandle):
         *,
         epsilon: float = 0.05,
         allocator=None,
-        workers: int = 1,
         mode: str = "online",
         fsync: bool = False,
         snapshot_every: Optional[int] = None,
@@ -152,7 +151,6 @@ class LocalShard(ShardHandle):
             manager,
             store=self.store,
             mode=mode,
-            workers=workers,
             clock=clock,
             degradation=degradation,
             idempotency_index=idempotency_index,

@@ -78,7 +78,6 @@ def _shard_child_main(
         view,
         Path(directory) if directory is not None else None,
         epsilon=options.get("epsilon", 0.05),
-        workers=options.get("workers", 1),
         mode=options.get("mode", "online"),
         fsync=options.get("fsync", False),
         snapshot_every=options.get("snapshot_every"),
@@ -187,7 +186,6 @@ class ProcessShard(ShardHandle):
         directory: Optional[Path] = None,
         *,
         epsilon: float = 0.05,
-        workers: int = 1,
         mode: str = "online",
         fsync: bool = False,
         snapshot_every: Optional[int] = None,
@@ -211,7 +209,6 @@ class ProcessShard(ShardHandle):
                 str(directory) if directory is not None else None,
                 {
                     "epsilon": epsilon,
-                    "workers": workers,
                     "mode": mode,
                     "fsync": fsync,
                     "snapshot_every": snapshot_every,

@@ -136,7 +136,6 @@ def run_chaos_schedule(
     service = AdmissionService(
         NetworkManager(tree),
         store=store,
-        workers=1,
         degradation=DegradationLadder(probe_interval=0.02),
     ).start()
 
@@ -245,7 +244,6 @@ def run_chaos_schedule(
     service = AdmissionService(
         recovered,
         store=store,
-        workers=1,
         degradation=DegradationLadder(probe_interval=0.02),
         idempotency_index=report.idempotency_index,
     ).start()

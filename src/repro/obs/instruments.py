@@ -532,10 +532,6 @@ class ServiceInstruments:
             "Seconds since the admission service instance started.",
         ).set_function(lambda: max(0.0, service.clock() - service.started_at))
         registry.gauge(
-            "repro_service_workers",
-            "Configured admission worker threads.",
-        ).set_function(lambda: float(service.workers))
-        registry.gauge(
             "repro_service_degradation_state",
             "Degradation ladder position: 0=full, 1=read_only, 2=fast_fail.",
         ).set_function(lambda: float(service.degradation_code()))

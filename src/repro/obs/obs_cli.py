@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.logconfig import LOG_LEVELS, setup_logging
-from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
+from repro.service.client import DEFAULT_HOST, DEFAULT_PORT
 
 
 def build_obs_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 SCHEMA_FILENAME = "METRICS_SCHEMA.json"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def bootstrap_registry():

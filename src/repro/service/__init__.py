@@ -1,15 +1,18 @@
 """Online admission-control service layer.
 
 Turns the in-memory :class:`~repro.manager.network_manager.NetworkManager`
-into a runnable daemon: a thread-safe front-end with a worker pool
+into a runnable daemon: a thread-safe front-end with one admission thread
 (:mod:`.concurrency`), the paper's online/batch request queue with
-priorities and deadlines (:mod:`.queue`), an append-only write-ahead
-journal with periodic snapshots and crash recovery (:mod:`.journal`,
-:mod:`.recovery`), a stdlib TCP line-JSON server (:mod:`.server`) and a
-matching retrying client (:mod:`.client`).  Fault behaviour — typed
-errors (:mod:`.errors`), the degradation ladder (:mod:`.degrade`) and the
-failpoints of :mod:`repro.faults` — is documented in DESIGN.md §7 and
-docs/operations.md.  ``svc-repro serve`` is the CLI entry.
+priorities, deadlines and per-tenant fairness (:mod:`.queue`), an
+append-only write-ahead journal with periodic snapshots and crash recovery
+(:mod:`.journal`, :mod:`.recovery`), an asyncio line-JSON TCP server
+(:mod:`.server`) and a matching retrying client (:mod:`.client`).  Fault
+behaviour — typed errors (:mod:`.errors`), the degradation ladder
+(:mod:`.degrade`) and the failpoints of :mod:`repro.faults` — is documented
+in DESIGN.md §7 and docs/operations.md.  ``svc-repro serve`` is the CLI
+entry; its module is not imported here, so processes that only host the
+admission core (cluster shards, in-process benchmarks) never load the
+front door or ``asyncio``.
 """
 
 from repro.service.client import RetryPolicy, ServiceClient
@@ -45,7 +48,7 @@ from repro.service.errors import (
     ServiceError,
 )
 from repro.service.journal import DurabilityStore, Journal
-from repro.service.queue import MODE_BATCH, MODE_ONLINE, QueuedRequest, RequestQueue
+from repro.service.queue import MODE_BATCH, MODE_ONLINE, FairRequestQueue, QueuedRequest
 from repro.service.recovery import (
     RecoveryError,
     RecoveryReport,
@@ -53,16 +56,15 @@ from repro.service.recovery import (
     recover_manager,
     snapshot_payload,
 )
-from repro.service.server import AdmissionTCPServer, serve_main
 
 __all__ = [
     "AdmissionService",
-    "AdmissionTCPServer",
     "CodecError",
     "DeadlineExceededError",
     "DegradationLadder",
     "DegradedError",
     "DurabilityStore",
+    "FairRequestQueue",
     "Journal",
     "MODE_BATCH",
     "MODE_ONLINE",
@@ -75,7 +77,6 @@ __all__ = [
     "QueuedRequest",
     "RecoveryError",
     "RecoveryReport",
-    "RequestQueue",
     "RETRYABLE_CODES",
     "RetryExhaustedError",
     "RetryPolicy",
@@ -92,6 +93,5 @@ __all__ = [
     "recover_manager",
     "request_from_dict",
     "request_to_dict",
-    "serve_main",
     "snapshot_payload",
 ]

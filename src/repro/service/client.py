@@ -45,7 +45,6 @@ from repro.service.errors import (
     ServiceError,
     error_from_response,
 )
-from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
 
 __all__ = [
     "ServiceClient",
@@ -57,6 +56,10 @@ __all__ = [
     "RetryExhaustedError",
     "RetryPolicy",
 ]
+
+#: Where ``svc-repro serve`` listens by default (and so where clients look).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 7421
 
 #: Submit outcomes worth retrying with the same idempotency key: the
 #: server rolled the attempt back (``error``) or never decided it yet

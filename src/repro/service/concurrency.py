@@ -1,13 +1,14 @@
-"""Thread-safe admission front-end: worker pool, tickets, statistics.
+"""Thread-safe admission front-end: the admission thread, tickets, statistics.
 
 :class:`AdmissionService` is the serving layer around a single
 :class:`~repro.manager.network_manager.NetworkManager`.  One condition
 variable guards the manager, the queue and the journal together, so the
 journal's record order is exactly the order state mutations were applied —
-the invariant crash recovery relies on.  Worker threads drain the queue,
-run the allocator under the lock (admission control is inherently serial:
-each decision depends on the link state the previous one produced), and
-resolve the submitting client's :class:`Ticket`.
+the invariant crash recovery relies on.  One admission thread drains the
+queue, coalesces same-shape runs into batches, runs the allocator under the
+lock, and resolves the submitting client's :class:`Ticket`.  One thread is
+all admission can use: each decision depends on the link state the previous
+one produced (Algorithm 1 is online and serial).
 
 Durability ordering: state is mutated first, then the event is journaled,
 both under the lock, and the ticket is resolved only after the journal
@@ -90,11 +91,12 @@ OUTCOME_QUEUED = "queued"
 OUTCOME_SHUTDOWN = "shutdown"
 OUTCOME_ERROR = "error"
 
-#: How long an idle worker sleeps before re-checking deadlines (seconds).
+#: How long the idle admission thread sleeps before re-checking deadlines
+#: (seconds).
 _IDLE_SWEEP_INTERVAL = 0.05
 
 #: Queue-bound default: generous for benchmarks, finite so a stalled
-#: worker pool cannot grow the heap without bound.
+#: admission thread cannot grow the heap without bound.
 DEFAULT_MAX_QUEUE_DEPTH = 1024
 
 #: Idempotency keys remembered live (oldest evicted beyond this).
@@ -213,7 +215,7 @@ class Ticket:
     def add_done_callback(self, callback: Callable[["Ticket"], None]) -> None:
         """Run ``callback(self)`` once resolved (immediately if already done).
 
-        The async front door bridges tickets to ``asyncio`` futures through
+        The front door bridges tickets to ``asyncio`` futures through
         this instead of burning a pool thread per in-flight :meth:`wait`.
         The lock makes registration race-free against a concurrent resolve:
         the callback fires exactly once, on whichever side wins.
@@ -260,10 +262,6 @@ class AdmissionService:
     mode:
         ``"online"`` drops rejected requests immediately; ``"batch"``
         parks them for retry on departures (Section VI-B semantics).
-    workers:
-        Worker threads draining the queue.  Admission decisions serialize
-        on the manager lock regardless; extra workers overlap protocol
-        handling, journaling and ticket resolution with allocator runs.
     max_queue_depth:
         Bounded-queue backpressure: submits beyond this many waiting
         requests (ready + parked) shed with :class:`OverloadedError`
@@ -279,16 +277,16 @@ class AdmissionService:
         (see :func:`repro.service.recovery.recover_manager`), seeding the
         live dedup index so retries of pre-crash submits stay idempotent.
     batch_max:
-        Upper bound on admission-batch size.  A worker that pops a request
-        keeps popping *consecutive* queue entries with the same shape key
-        (up to this many) and drives them through one shared allocator
-        batch context — one tree traversal's tables amortized across the
-        run, decisions bit-identical to one-at-a-time processing.  ``1``
-        disables coalescing.
+        Upper bound on admission-batch size.  After popping a request the
+        admission thread keeps popping *consecutive* queue entries with the
+        same shape key (up to this many) and drives them through one shared
+        allocator batch context — one tree traversal's tables amortized
+        across the run, decisions bit-identical to one-at-a-time
+        processing.  ``1`` disables coalescing.
     batch_linger_s:
         With the queue empty and a batch still below ``batch_max``, how
-        long the worker waits for more same-shape arrivals before
-        dispatching.  ``0`` dispatches immediately (latency-optimal).
+        long the admission thread waits for more same-shape arrivals
+        before dispatching.  ``0`` dispatches immediately (latency-optimal).
     tenant_quota:
         Per-tenant queue bound: a tenant with this many waiting requests
         has further submits shed with :class:`OverQuotaError` (carrying a
@@ -304,7 +302,6 @@ class AdmissionService:
         manager: NetworkManager,
         store: Optional[DurabilityStore] = None,
         mode: str = MODE_ONLINE,
-        workers: int = 2,
         clock: Callable[[], float] = time.monotonic,
         latency_window: int = 4096,
         max_queue_depth: Optional[int] = DEFAULT_MAX_QUEUE_DEPTH,
@@ -318,8 +315,6 @@ class AdmissionService:
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown service mode {mode!r}; choose from {MODES}")
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         if batch_max < 1:
@@ -331,7 +326,6 @@ class AdmissionService:
         self.manager = manager
         self.store = store
         self.mode = mode
-        self.workers = workers
         self.clock = clock
         self.max_queue_depth = max_queue_depth
         self.default_timeout_s = default_timeout_s
@@ -345,13 +339,14 @@ class AdmissionService:
         self._known_tenants: set = set()
         self._tickets: Dict[int, Ticket] = {}
         self._next_ticket = 1
-        self._threads: List[threading.Thread] = []
+        self._thread: Optional[threading.Thread] = None
         self._running = False
         self._started_at = self.clock()
         self._degradation = degradation or (
             DegradationLadder(clock=clock) if store is not None else None
         )
-        #: Set when a worker died to an injected crash (chaos harness).
+        #: Set when the admission thread died to an injected crash (chaos
+        #: harness).
         self.crashed = False
         # Live idempotency index: key -> {"ticket_id"} while a ticket is
         # known in this process, or {"outcome", "request_id"} for keys
@@ -377,20 +372,23 @@ class AdmissionService:
             if self._running:
                 return self
             self._running = True
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"admission-worker-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._thread = threading.Thread(
+            target=self._admission_loop, name="admission", daemon=True
+        )
+        self._thread.start()
         logger.info(
-            "admission service started: mode=%s workers=%d durable=%s",
-            self.mode, self.workers, self.store is not None,
+            "admission service started: mode=%s durable=%s",
+            self.mode, self.store is not None,
         )
         return self
 
+    def _join(self, timeout: float) -> None:
+        if self._thread is not None:
+            self._thread.join(timeout)
+            self._thread = None
+
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop workers and resolve every still-queued ticket as shutdown."""
+        """Stop admitting and resolve every still-queued ticket as shutdown."""
         with self._cond:
             if not self._running:
                 return
@@ -399,15 +397,13 @@ class AdmissionService:
             self._cond.notify_all()
         for entry in abandoned:
             self._resolve(entry, OUTCOME_SHUTDOWN, detail="service stopped")
-        for thread in self._threads:
-            thread.join(timeout)
-        self._threads.clear()
+        self._join(timeout)
         logger.info(
             "admission service stopped: %d queued request(s) abandoned", len(abandoned)
         )
 
     def kill(self, timeout: float = 2.0) -> None:
-        """Simulate a crash: stop workers *without* resolving anything.
+        """Simulate a crash: stop admitting *without* resolving anything.
 
         Unlike :meth:`stop`, queued tickets stay unresolved and no shutdown
         snapshot is taken — exactly what a power cut leaves behind.  Used
@@ -417,9 +413,7 @@ class AdmissionService:
         with self._cond:
             self._running = False
             self._cond.notify_all()
-        for thread in self._threads:
-            thread.join(timeout)
-        self._threads.clear()
+        self._join(timeout)
 
     def __enter__(self) -> "AdmissionService":
         return self.start()
@@ -594,9 +588,9 @@ class AdmissionService:
 
         ``timeout_s`` is the request's *deadline* relative to now: in batch
         mode a parked request expires once it passes; in online mode it
-        only matters if the request expires before a worker first reaches
-        it.  Without an explicit value the service's ``default_timeout_s``
-        applies.  ``wait_timeout`` bounds how long *this call* blocks — the
+        only matters if the request expires before the admission thread
+        reaches it.  Without an explicit value the service's
+        ``default_timeout_s`` applies.  ``wait_timeout`` bounds how long *this call* blocks — the
         request itself stays queued when the wait times out.
 
         ``idempotency_key`` makes retries safe: a key already decided (in
@@ -725,7 +719,7 @@ class AdmissionService:
         """Backoff hint: expected drain time of the current backlog."""
         summary_mean = self.latencies.summary().get("mean_ms", 0.0) / 1000.0
         per_request = summary_mean if summary_mean > 0.0 else 0.005
-        return min(5.0, max(0.05, depth * per_request / max(1, self.workers)))
+        return min(5.0, max(0.05, depth * per_request))
 
     def release(self, request_id: int) -> bool:
         """Release an admitted tenancy; False when the id is not active.
@@ -919,7 +913,7 @@ class AdmissionService:
         raised and nothing is touched (the optimistic-concurrency abort
         path of the two-phase protocol).
 
-        Same durability ordering as the worker path: mutate, journal, and
+        Same durability ordering as the admission path: mutate, journal, and
         roll back the mutation if the journal append fails.  Idempotent per
         ``idempotency_key`` — a retried adopt returns the original local id
         instead of committing a second copy.
@@ -1045,7 +1039,6 @@ class AdmissionService:
             ]
             return {
                 "mode": self.mode,
-                "workers": self.workers,
                 "uptime_s": self.clock() - self._started_at,
                 "counters": self.counters.as_dict(),
                 "admitted_total": manager.admitted_count,
@@ -1126,10 +1119,10 @@ class AdmissionService:
             return str(self.store.write_snapshot(snapshot_payload(self.manager)))
 
     # ------------------------------------------------------------------
-    # Worker internals
+    # Admission thread
     # ------------------------------------------------------------------
 
-    def _worker_loop(self) -> None:
+    def _admission_loop(self) -> None:
         while True:
             batch: List[QueuedRequest] = []
             expired: List[QueuedRequest] = []
@@ -1166,7 +1159,7 @@ class AdmissionService:
                 recorder = flight_recorder()
                 recorder.record("crash", error=str(crash))
                 recorder.maybe_dump("crash")
-                logger.warning("worker crashed by injected fault: %s", crash)
+                logger.warning("admission thread crashed by injected fault: %s", crash)
                 return
             # Tickets are resolved outside the lock: Event.set wakes the
             # submitting thread, which may immediately call back into the
@@ -1187,7 +1180,7 @@ class AdmissionService:
         (:meth:`FairRequestQueue.pop_compatible`), so the batch is exactly a
         prefix of the sequential serving order — the keystone of the
         batched-equals-unbatched decision guarantee.  When the queue runs
-        empty below ``batch_max``, the worker lingers up to
+        empty below ``batch_max``, the admission thread lingers up to
         ``batch_linger_s`` for more same-shape arrivals; a different-shape
         head always dispatches immediately (waiting could not legally skip
         past it).
@@ -1236,7 +1229,7 @@ class AdmissionService:
             except InjectedCrash:
                 raise
             except Exception as exc:  # journal I/O etc. — fail the
-                # request, keep the worker alive for the next one
+                # request, keep the thread alive for the next one
                 self._count("errors")
                 self._forget_key(entry.idempotency_key)
                 logger.warning(
@@ -1265,7 +1258,7 @@ class AdmissionService:
                 tenancy: Optional[Tenancy] = manager.request(
                     entry.request, batch=batch
                 )
-        except Exception as exc:  # allocator bug — fail the request, not the worker
+        except Exception as exc:  # allocator bug — fail the request, not the thread
             self._count("errors")
             self._forget_key(entry.idempotency_key)
             logger.warning(

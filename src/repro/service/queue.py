@@ -10,6 +10,9 @@ On top of the paper semantics, every request carries a ``priority`` (higher
 is served first, FIFO within a priority class) and an optional absolute
 ``deadline`` after which it expires instead of being served.
 
+Every request also bills to a tenant, and :class:`FairRequestQueue`
+schedules across tenants by weighted deficit round-robin.
+
 The queue is deliberately **not** thread-safe: :class:`~repro.service.
 concurrency.AdmissionService` owns a condition variable and performs every
 queue call while holding it.  Keeping the structure lock-free makes the
@@ -48,7 +51,8 @@ class QueuedRequest:
     #: record so retries after a lost ack stay idempotent.
     idempotency_key: Optional[str] = None
     #: Distributed-trace context (``repro.obs.tracing.TraceContext``) the
-    #: worker activates around the allocator call; None when unsampled.
+    #: admission thread activates around the allocator call; None when
+    #: unsampled.
     trace_context: Optional[object] = None
     #: Tenant the request bills to — the fair queue schedules across tenants
     #: by weighted deficit round-robin and quotas are enforced per tenant.
@@ -59,7 +63,6 @@ class QueuedRequest:
     #: FIFO tiebreak, assigned by the queue on first push and kept across
     #: park/retry cycles so retried requests keep their arrival position.
     seq: int = field(default=0, repr=False)
-    _cancelled: bool = field(default=False, repr=False)
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now >= self.deadline
@@ -68,120 +71,11 @@ class QueuedRequest:
         return (-self.priority, self.seq)
 
 
-class RequestQueue:
-    """Priority + FIFO admission queue with deadlines and a parking lot."""
-
-    def __init__(self, mode: str = MODE_ONLINE) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown queue mode {mode!r}; choose from {MODES}")
-        self.mode = mode
-        self._heap: List[Tuple[Tuple[int, int], QueuedRequest]] = []
-        self._parked: List[QueuedRequest] = []
-        self._next_seq = 0
-
-    # ------------------------------------------------------------------
-    # Arrival side
-    # ------------------------------------------------------------------
-
-    def push(self, entry: QueuedRequest) -> None:
-        """Enqueue a new arrival (assigns its FIFO position)."""
-        entry.seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (entry.sort_key(), entry))
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-
-    def pop_ready(
-        self, now: float
-    ) -> Tuple[Optional[QueuedRequest], List[QueuedRequest]]:
-        """Next request to try, plus any expired entries drained on the way.
-
-        Expired entries are returned (not silently dropped) so the service
-        can resolve their tickets and count them.
-        """
-        expired: List[QueuedRequest] = []
-        while self._heap:
-            _key, entry = heapq.heappop(self._heap)
-            if entry._cancelled:
-                continue
-            if entry.expired(now):
-                expired.append(entry)
-                continue
-            return entry, expired
-        return None, expired
-
-    def park(self, entry: QueuedRequest) -> None:
-        """Batch mode: hold a rejected request for retry on departures."""
-        if self.mode != MODE_BATCH:
-            raise ValueError("parking rejected requests requires batch mode")
-        self._parked.append(entry)
-
-    def requeue_parked(self) -> int:
-        """Move every parked request back into the ready heap.
-
-        Called on each departure; retried entries keep their original
-        ``seq`` so the batch scenario remains FIFO within priority.
-        Returns how many were requeued.
-        """
-        count = 0
-        for entry in self._parked:
-            if not entry._cancelled:
-                heapq.heappush(self._heap, (entry.sort_key(), entry))
-                count += 1
-        self._parked.clear()
-        return count
-
-    def expire(self, now: float) -> List[QueuedRequest]:
-        """Remove and return every expired entry (ready and parked)."""
-        expired: List[QueuedRequest] = []
-        for entry in list(self._parked):
-            if entry.expired(now):
-                expired.append(entry)
-        self._parked = [e for e in self._parked if not e.expired(now)]
-        kept: List[Tuple[Tuple[int, int], QueuedRequest]] = []
-        for key, entry in self._heap:
-            if entry._cancelled:
-                continue
-            if entry.expired(now):
-                expired.append(entry)
-            else:
-                kept.append((key, entry))
-        heapq.heapify(kept)
-        self._heap = kept
-        return expired
-
-    def drain(self) -> List[QueuedRequest]:
-        """Remove and return everything still waiting (service shutdown)."""
-        entries = [e for _k, e in self._heap if not e._cancelled]
-        entries.extend(e for e in self._parked if not e._cancelled)
-        self._heap.clear()
-        self._parked.clear()
-        entries.sort(key=QueuedRequest.sort_key)
-        return entries
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def ready_count(self) -> int:
-        return sum(1 for _k, e in self._heap if not e._cancelled)
-
-    @property
-    def parked_count(self) -> int:
-        return sum(1 for e in self._parked if not e._cancelled)
-
-    def __len__(self) -> int:
-        return self.ready_count + self.parked_count
-
-
 class FairRequestQueue:
     """Per-tenant weighted deficit round-robin admission queue.
 
-    Each tenant owns a private priority+FIFO heap (the :class:`RequestQueue`
-    ordering, scoped to the tenant); across tenants a deficit round-robin
+    Each tenant owns a private heap ordered by priority, then arrival
+    (:meth:`QueuedRequest.sort_key`); across tenants a deficit round-robin
     rotation decides who is served next.  On each visit a tenant's deficit
     grows by its weight and every pop costs one unit, so a tenant with
     weight ``w`` gets up to ``w`` consecutive admissions per rotation lap —
@@ -191,10 +85,9 @@ class FairRequestQueue:
     The serving order this queue produces **is** the canonical sequential
     order: the batcher only coalesces a run of *consecutive* pops with equal
     shape keys (:meth:`pop_compatible`), so batched admission processes
-    exactly the sequence an unbatched worker would, one decision at a time.
-
-    Same threading contract as :class:`RequestQueue`: not thread-safe, all
-    calls made under the service condition variable.
+    exactly the sequence unbatched admission would, one decision at a time.
+    With every request on the default tenant, DRR reduces to one heap: plain
+    priority + FIFO order.
     """
 
     def __init__(
@@ -250,7 +143,7 @@ class FairRequestQueue:
         heapq.heappush(heap, (entry.sort_key(), entry))
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Admission side
     # ------------------------------------------------------------------
 
     def _retire(self, tenant: str) -> None:
@@ -261,24 +154,17 @@ class FairRequestQueue:
     def _settle(self, now: float, expired: List[QueuedRequest]) -> Optional[str]:
         """Advance the rotation until its head tenant is the one to serve.
 
-        Prunes cancelled and expired entries off heap tops on the way
-        (collecting the expired ones), retires tenants whose heaps empty,
-        and tops up deficits per DRR.  Deterministic: the tenant returned is
-        a pure function of queue state, so peeking commits nothing beyond
-        what any pop would have decided anyway.
+        Prunes expired entries off heap tops on the way (collecting them),
+        retires tenants whose heaps empty, and tops up deficits per DRR.
+        Deterministic: the tenant returned is a pure function of queue
+        state, so peeking commits nothing beyond what any pop would have
+        decided anyway.
         """
         while self._rotation:
             tenant = self._rotation[0]
             heap = self._heaps[tenant]
-            while heap:
-                entry = heap[0][1]
-                if entry._cancelled:
-                    heapq.heappop(heap)
-                elif entry.expired(now):
-                    heapq.heappop(heap)
-                    expired.append(entry)
-                else:
-                    break
+            while heap and heap[0][1].expired(now):
+                expired.append(heapq.heappop(heap)[1])
             if not heap:
                 self._retire(tenant)
                 continue
@@ -333,11 +219,9 @@ class FairRequestQueue:
 
     def requeue_parked(self) -> int:
         """Move every parked request back into its tenant's ready heap."""
-        count = 0
         for entry in self._parked:
-            if not entry._cancelled:
-                self._push_existing(entry)
-                count += 1
+            self._push_existing(entry)
+        count = len(self._parked)
         self._parked.clear()
         return count
 
@@ -351,8 +235,6 @@ class FairRequestQueue:
             heap = self._heaps[tenant]
             kept: List[Tuple[Tuple[int, int], QueuedRequest]] = []
             for key, entry in heap:
-                if entry._cancelled:
-                    continue
                 if entry.expired(now):
                     expired.append(entry)
                 else:
@@ -365,13 +247,8 @@ class FairRequestQueue:
 
     def drain(self) -> List[QueuedRequest]:
         """Remove and return everything still waiting (service shutdown)."""
-        entries = [
-            e
-            for heap in self._heaps.values()
-            for _k, e in heap
-            if not e._cancelled
-        ]
-        entries.extend(e for e in self._parked if not e._cancelled)
+        entries = [e for heap in self._heaps.values() for _k, e in heap]
+        entries.extend(self._parked)
         self._heaps.clear()
         self._rotation.clear()
         self._deficits.clear()
@@ -385,34 +262,22 @@ class FairRequestQueue:
 
     @property
     def ready_count(self) -> int:
-        return sum(
-            1
-            for heap in self._heaps.values()
-            for _k, e in heap
-            if not e._cancelled
-        )
+        return sum(len(heap) for heap in self._heaps.values())
 
     @property
     def parked_count(self) -> int:
-        return sum(1 for e in self._parked if not e._cancelled)
+        return len(self._parked)
 
     def __len__(self) -> int:
         return self.ready_count + self.parked_count
 
     def tenant_depths(self) -> Dict[str, int]:
         """Waiting entries (ready + parked) per tenant — quota & gauge feed."""
-        depths: Dict[str, int] = {}
-        for tenant, heap in self._heaps.items():
-            depths[tenant] = sum(1 for _k, e in heap if not e._cancelled)
+        depths = {tenant: len(heap) for tenant, heap in self._heaps.items()}
         for entry in self._parked:
-            if not entry._cancelled:
-                depths[entry.tenant] = depths.get(entry.tenant, 0) + 1
+            depths[entry.tenant] = depths.get(entry.tenant, 0) + 1
         return depths
 
     def tenant_depth(self, tenant: str) -> int:
-        heap = self._heaps.get(tenant, ())
-        depth = sum(1 for _k, e in heap if not e._cancelled)
-        depth += sum(
-            1 for e in self._parked if e.tenant == tenant and not e._cancelled
-        )
-        return depth
+        parked = sum(1 for e in self._parked if e.tenant == tenant)
+        return len(self._heaps.get(tenant, ())) + parked

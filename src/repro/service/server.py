@@ -21,14 +21,25 @@ Operations::
 Request payloads are the :mod:`repro.service.codec` request encoding, e.g.
 ``{"kind": "homogeneous", "n_vms": 8, "mean": 200.0, "std": 80.0}``.
 
-Two wire-compatible front ends serve this protocol: the default ``asyncio``
-accept/decode loop over a bounded worker pool (:mod:`repro.service.aio`)
-and the classic thread-per-connection :mod:`socketserver` handler kept here
-(``--frontend threaded``).  This module owns the shared op table
-(:func:`dispatch_command`) and error envelope (:func:`error_response`), so
-the two cannot drift.  ``svc-repro serve`` wires either behind the CLI and
-prints a single machine-readable ready line so scripts and tests can
-discover the bound port::
+One asyncio event loop owns every connection (:class:`AsyncFrontDoor`):
+accept, read and JSON decode happen on the loop, so ten thousand idle
+connections cost file descriptors, not threads.  The synchronous admission
+core is reached through a bridge pool of :data:`DEFAULT_POOL_SIZE` threads,
+and two rules keep it honest:
+
+* **Never block the loop.**  Every call that can take the service lock (or
+  sleep in a failpoint) runs in the pool via ``run_in_executor``.
+* **Never park a pool thread on a wait.**  ``submit`` is two-phase: the
+  enqueue runs in the pool with ``wait=False`` and the decision is awaited
+  on the loop through an :class:`asyncio.Future` bridged from
+  ``Ticket.add_done_callback`` — a thousand in-flight submits hold zero
+  pool threads while the admission thread works.
+
+Every other op goes through the op table (:func:`dispatch_command`) and
+failures through one error envelope (:func:`error_response`).
+``svc-repro serve`` wires the front door behind the CLI and prints a single
+machine-readable ready line so scripts and tests can discover the bound
+port::
 
     {"event": "ready", "host": "127.0.0.1", "port": 40123, "pid": 1234, ...}
 """
@@ -36,15 +47,13 @@ discover the bound port::
 from __future__ import annotations
 
 import argparse
-import itertools
+import asyncio
+import concurrent.futures
 import json
 import logging
 import os
 import signal
-import socket
-import socketserver
 import sys
-import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
@@ -57,8 +66,9 @@ from repro.obs.flightrec import configure_flight_recorder, flight_recorder
 from repro.obs.instruments import admission_instruments
 from repro.obs.instruments import configure as configure_obs
 from repro.obs.instruments import outage_monitor
-from repro.service.codec import CodecError
-from repro.service.concurrency import AdmissionService
+from repro.service.client import DEFAULT_HOST, DEFAULT_PORT
+from repro.service.codec import CodecError, count_from_wire, real_from_wire
+from repro.service.concurrency import AdmissionService, Ticket
 from repro.service.degrade import DegradationLadder
 from repro.service.errors import ServiceError
 from repro.service.journal import DurabilityStore
@@ -68,16 +78,8 @@ from repro.topology.builder import build_datacenter
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 7421
-
-FRONTEND_ASYNC = "async"
-FRONTEND_THREADED = "threaded"
-FRONTENDS = (FRONTEND_ASYNC, FRONTEND_THREADED)
-
-#: Process-wide protocol request ids, threaded through the handler logs so
-#: one request can be correlated across server, worker and journal lines.
-_REQUEST_IDS = itertools.count(1)
+#: Threads bridging the event loop to the synchronous admission core.
+DEFAULT_POOL_SIZE = 8
 
 
 def error_response(exc: BaseException) -> Dict[str, Any]:
@@ -86,8 +88,6 @@ def error_response(exc: BaseException) -> Dict[str, Any]:
     Typed :class:`ServiceError` sheds keep their machine-readable ``code``
     and ``retry_after`` hint; codec errors surface their message; anything
     else is reported by exception type without killing the connection.
-    Shared by the threaded and async front doors so the wire contract
-    cannot drift between them.
     """
     if isinstance(exc, ServiceError):
         response: Dict[str, Any] = {"ok": False, "error": str(exc)}
@@ -101,6 +101,21 @@ def error_response(exc: BaseException) -> Dict[str, Any]:
     return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _submit_command(
+    service: AdmissionService, command: Dict[str, Any], wait: bool
+) -> Ticket:
+    """Enqueue the request of one ``submit`` command (blocking if ``wait``)."""
+    return service.submit(
+        command["request"],
+        priority=int(command.get("priority", 0)),
+        timeout_s=command.get("timeout_s"),
+        wait=wait,
+        wait_timeout=command.get("wait_timeout"),
+        idempotency_key=command.get("idem"),
+        tenant=command.get("tenant"),
+    )
+
+
 def dispatch_command(
     service: AdmissionService,
     command: Dict[str, Any],
@@ -108,12 +123,11 @@ def dispatch_command(
 ) -> Dict[str, Any]:
     """Execute one decoded protocol command against the service.
 
-    This is the single source of truth for the op table: the threaded
-    handler calls it inline and the async front door calls it from its
-    worker pool (``submit`` excepted — the async path enqueues without
-    blocking and awaits the ticket instead, see ``repro.service.aio``).
-    Raises the typed service/codec errors; callers map them through
-    :func:`error_response`.
+    This is the single source of truth for the op table: the front door
+    calls it from its bridge pool (``submit`` excepted — the front door
+    enqueues without blocking and awaits the ticket instead, see
+    :meth:`AsyncFrontDoor._submit`).  Raises the typed service/codec
+    errors; callers map them through :func:`error_response`.
     """
     op = command.get("op")
     # The degradation gate runs before any work: in fast-fail even
@@ -124,15 +138,7 @@ def dispatch_command(
     if op == "ping":
         return {"ok": True, "pong": True, "state": service.degradation_state()}
     if op == "submit":
-        ticket = service.submit(
-            command["request"],
-            priority=int(command.get("priority", 0)),
-            timeout_s=command.get("timeout_s"),
-            wait=bool(command.get("wait", True)),
-            wait_timeout=command.get("wait_timeout"),
-            idempotency_key=command.get("idem"),
-            tenant=command.get("tenant"),
-        )
+        ticket = _submit_command(service, command, wait=bool(command.get("wait", True)))
         return {"ok": True, **ticket.describe()}
     if op == "status":
         status = service.status(int(command["ticket"]))
@@ -153,9 +159,11 @@ def dispatch_command(
         new_sigma = command.get("new_sigma")
         decision = service.resize(
             int(command["request_id"]),
-            new_n=int(new_n) if new_n is not None else None,
-            new_mu=float(new_mu) if new_mu is not None else None,
-            new_sigma=float(new_sigma) if new_sigma is not None else None,
+            new_n=None if new_n is None else count_from_wire(new_n, "new_n"),
+            new_mu=None if new_mu is None else real_from_wire(new_mu, "new_mu"),
+            new_sigma=(
+                None if new_sigma is None else real_from_wire(new_sigma, "new_sigma")
+            ),
             idempotency_key=command.get("idem"),
         )
         if decision.get("outcome") == "unknown":
@@ -190,85 +198,206 @@ def dispatch_command(
     return {"ok": False, "error": f"unknown op {op!r}"}
 
 
-class AdmissionRequestHandler(socketserver.StreamRequestHandler):
-    """One connection: a stream of newline-delimited JSON commands."""
+class AsyncFrontDoor:
+    """Asyncio accept/read/decode loop over one :class:`AdmissionService`.
 
-    def setup(self) -> None:
-        super().setup()
-        # Slow-client defense: a peer that stops reading (or writing) for
-        # longer than this forfeits the connection instead of pinning a
-        # handler thread forever.  None = no timeout (the default).
-        client_timeout = getattr(self.server, "client_timeout", None)
-        if client_timeout is not None:
-            self.request.settimeout(client_timeout)
-
-    def handle(self) -> None:
-        try:
-            self._serve_lines()
-        except (socket.timeout, TimeoutError):
-            logger.warning(
-                "peer=%s timed out mid-operation; closing connection",
-                self.client_address[0],
-            )
-
-    def _serve_lines(self) -> None:
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            rid = next(_REQUEST_IDS)
-            op = None
-            try:
-                command = json.loads(line)
-                op = command.get("op")
-                response = self._dispatch(command)
-            except json.JSONDecodeError as exc:
-                response = {"ok": False, "error": f"malformed JSON: {exc.msg}"}
-            except (ServiceError, CodecError) as exc:
-                # Typed shed/degradation errors: machine-readable code plus
-                # a Retry-After hint so clients can back off sensibly.
-                response = error_response(exc)
-            except Exception as exc:  # never kill the connection on one bad op
-                logger.warning("rid=%d op=%s raised: %s", rid, op, exc, exc_info=True)
-                response = error_response(exc)
-            logger.debug(
-                "rid=%d peer=%s op=%s ok=%s ticket=%s",
-                rid, self.client_address[0], op,
-                response.get("ok"), response.get("ticket"),
-            )
-            FAILPOINTS.hit(FP_SERVER_RESPONSE)
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-            self.wfile.flush()
-            if response.get("bye"):
-                break
-
-    def _dispatch(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        service: AdmissionService = self.server.service  # type: ignore[attr-defined]
-        return dispatch_command(
-            service, command, self.server.request_shutdown  # type: ignore[attr-defined]
-        )
-
-
-class AdmissionTCPServer(socketserver.ThreadingTCPServer):
-    """Threading TCP server bound to one :class:`AdmissionService`."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+    Construct, then ``await start()`` (binds and spins up the pool), then
+    ``await serve_until_shutdown()``.  ``request_shutdown`` is thread-safe:
+    protocol handlers call it from pool threads and signal handlers call it
+    from the loop.
+    """
 
     def __init__(
         self,
-        address,
         service: AdmissionService,
+        host: str = "127.0.0.1",
+        port: int = 0,
         client_timeout: Optional[float] = None,
     ) -> None:
-        super().__init__(address, AdmissionRequestHandler)
         self.service = service
+        self.host = host
+        self.port = port
         self.client_timeout = client_timeout
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop = asyncio.Event()
+        self._shutdown_pending = False
+        self._conn_tasks: set = set()
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+
+    async def start(self) -> None:
+        """Bind the listener and start the bridge pool; updates ``port``."""
+        self._loop = asyncio.get_running_loop()
+        self._pool = concurrent.futures.ThreadPoolExecutor(
+            max_workers=DEFAULT_POOL_SIZE, thread_name_prefix="aio-bridge"
+        )
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
+        )
+        sockname = self._server.sockets[0].getsockname()
+        self.host, self.port = sockname[0], sockname[1]
+        logger.info(
+            "front door listening on %s:%d (pool=%d)",
+            self.host, self.port, DEFAULT_POOL_SIZE,
+        )
+
+    async def serve_until_shutdown(self) -> None:
+        """Serve connections until :meth:`request_shutdown` fires."""
+        assert self._server is not None, "call start() first"
+        async with self._server:
+            await self._server.start_serving()
+            await self._stop.wait()
+        # Listener closed; reap connections still parked on readline before
+        # tearing down the pool they would otherwise try to schedule on.
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        self._pool.shutdown(wait=False)
 
     def request_shutdown(self) -> None:
-        # shutdown() blocks until serve_forever returns, so it must not be
-        # called from a handler thread directly.
-        threading.Thread(target=self.shutdown, daemon=True).start()
+        """Stop serving immediately (callable from any thread).
+
+        Signal handlers use this; the ``shutdown`` protocol op goes through
+        :meth:`_defer_shutdown` instead so its ``bye`` response is flushed
+        before the listener drops.
+        """
+        loop = self._loop
+        if loop is None:
+            return
+        loop.call_soon_threadsafe(self._stop.set)
+
+    def _defer_shutdown(self) -> None:
+        """Pool-side shutdown request: stop once the response is on the wire."""
+        self._shutdown_pending = True
+
+    # ------------------------------------------------------------------
+    # Connection handling
+    # ------------------------------------------------------------------
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        peer = writer.get_extra_info("peername")
+        peer_host = peer[0] if peer else "?"
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+        try:
+            while not self._stop.is_set():
+                try:
+                    if self.client_timeout is not None:
+                        raw = await asyncio.wait_for(
+                            reader.readline(), timeout=self.client_timeout
+                        )
+                    else:
+                        raw = await reader.readline()
+                except asyncio.TimeoutError:
+                    logger.warning(
+                        "peer=%s timed out mid-operation; closing connection",
+                        peer_host,
+                    )
+                    break
+                if not raw:
+                    break
+                line = raw.strip()
+                if not line:
+                    continue
+                response = await self._process(line)
+                # Failpoint runs in the pool: a delay-mode stall must pin
+                # this connection, not the shared event loop.
+                await self._run_sync(FAILPOINTS.hit, FP_SERVER_RESPONSE)
+                writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    break
+                if self._shutdown_pending:
+                    self._stop.set()
+                if response.get("bye"):
+                    break
+        except ConnectionError:
+            pass  # peer vanished mid-read; nothing to answer
+        except asyncio.CancelledError:
+            # Shutdown reaps idle connections; completing normally keeps
+            # asyncio's connection_made callback from logging the cancel.
+            if not self._stop.is_set():
+                raise
+        finally:
+            if task is not None:
+                self._conn_tasks.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                pass
+
+    async def _process(self, line: bytes) -> Dict[str, Any]:
+        """Decode and execute one protocol line, mapping errors to envelopes."""
+        try:
+            command = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return {"ok": False, "error": f"malformed JSON: {exc.msg}"}
+        op = command.get("op") if isinstance(command, dict) else None
+        try:
+            if op == "submit":
+                return await self._submit(command)
+            return await self._run_sync(
+                dispatch_command, self.service, command, self._defer_shutdown
+            )
+        except (ServiceError, CodecError) as exc:
+            return error_response(exc)
+        except Exception as exc:  # never kill the connection on one bad op
+            logger.warning("op=%s raised: %s", op, exc, exc_info=True)
+            return error_response(exc)
+
+    async def _submit(self, command: Dict[str, Any]) -> Dict[str, Any]:
+        """Two-phase submit: pool-side enqueue, loop-side decision wait."""
+        ticket: Ticket = await self._run_sync(self._enqueue, command)
+        if bool(command.get("wait", True)) and not ticket.done:
+            await self._await_ticket(ticket, command.get("wait_timeout"))
+        return {"ok": True, **ticket.describe()}
+
+    def _enqueue(self, command: Dict[str, Any]) -> Ticket:
+        """Pool-side half of submit: enqueue without blocking on the decision."""
+        self.service.gate("submit")  # same degradation gate as dispatch_command
+        return _submit_command(self.service, command, wait=False)
+
+    async def _await_ticket(
+        self, ticket: Ticket, wait_timeout: Optional[float]
+    ) -> None:
+        """Await the admission decision without holding a pool thread.
+
+        On timeout the request simply stays queued (the ``wait_timeout``
+        contract of :meth:`AdmissionService.submit`) and the caller reports
+        the ticket as queued.
+        """
+        loop = asyncio.get_running_loop()
+        future: "asyncio.Future[None]" = loop.create_future()
+
+        def _resolved(_ticket: Ticket) -> None:
+            loop.call_soon_threadsafe(
+                lambda: future.done() or future.set_result(None)
+            )
+
+        ticket.add_done_callback(_resolved)
+        try:
+            if wait_timeout is not None:
+                await asyncio.wait_for(asyncio.shield(future), float(wait_timeout))
+            else:
+                await future
+        except asyncio.TimeoutError:
+            pass
+
+    async def _run_sync(self, fn, *args):
+        """Run a blocking call on the bounded bridge pool."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, fn, *args
+        )
 
 
 # ----------------------------------------------------------------------
@@ -311,24 +440,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         choices=MODES,
         default=MODE_ONLINE,
         help="online = drop rejected requests; batch = park and retry on departures",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="admission worker threads (default: 4)"
-    )
-    parser.add_argument(
-        "--frontend",
-        choices=FRONTENDS,
-        default=FRONTEND_ASYNC,
-        help="connection front end: async = single-threaded asyncio accept/"
-        "decode loop over a bounded pool; threaded = one thread per "
-        "connection (default: async)",
-    )
-    parser.add_argument(
-        "--pool-size",
-        type=int,
-        default=8,
-        help="bounded worker pool bridging the async front end to the sync "
-        "core (async frontend only; default: 8)",
     )
     parser.add_argument(
         "--batch-max",
@@ -511,25 +622,22 @@ def _build_service(args: argparse.Namespace) -> AdmissionService:
             store.write_snapshot(snapshot_payload(manager))
     else:
         manager = NetworkManager(tree, epsilon=epsilon, allocator=allocator)
-    max_queue = getattr(args, "max_queue", 1024)
-    tenant_quota = getattr(args, "tenant_quota", 0)
     service = AdmissionService(
         manager,
         store=store,
         mode=args.mode,
-        workers=args.workers,
-        max_queue_depth=max_queue if max_queue else None,
-        default_timeout_s=getattr(args, "default_timeout_s", None),
+        max_queue_depth=args.max_queue or None,
+        default_timeout_s=args.default_timeout_s,
         degradation=(
-            DegradationLadder(probe_interval=getattr(args, "probe_interval_s", 1.0))
+            DegradationLadder(probe_interval=args.probe_interval_s)
             if store is not None
             else None
         ),
         idempotency_index=recovered.idempotency_index if recovered else None,
-        batch_max=getattr(args, "batch_max", 1),
-        batch_linger_s=getattr(args, "batch_linger_ms", 0.0) / 1000.0,
-        tenant_quota=tenant_quota if tenant_quota else None,
-        tenant_weights=_parse_tenant_weights(getattr(args, "tenant_weight", None)),
+        batch_max=args.batch_max,
+        batch_linger_s=args.batch_linger_ms / 1000.0,
+        tenant_quota=args.tenant_quota or None,
+        tenant_weights=_parse_tenant_weights(args.tenant_weight),
     )
     # Publish the SLA bound so the empirical-outage gauges compare against
     # the epsilon this daemon actually guarantees (Eq. 1).
@@ -542,7 +650,7 @@ def _build_service(args: argparse.Namespace) -> AdmissionService:
 def announce_ready(
     service: AdmissionService, args: argparse.Namespace, host: str, port: int
 ) -> None:
-    """Print the machine-readable ready line on stdout (shared by frontends).
+    """Print the machine-readable ready line on stdout.
 
     The ready line is protocol output, not logging: it must stay the first
     (and only) line scripts see on stdout.
@@ -552,13 +660,12 @@ def announce_ready(
         "host": host,
         "port": port,
         "pid": os.getpid(),
-        "scale": getattr(service, "effective_scale", args.scale),
+        "scale": service.effective_scale,
         "mode": args.mode,
-        "frontend": getattr(args, "frontend", FRONTEND_THREADED),
         "epsilon": service.manager.epsilon,
         "journal_dir": args.journal_dir,
     }
-    report = getattr(service, "recovery_report", None)
+    report = service.recovery_report
     if report is not None:
         ready["recovered_records"] = report.replayed_records
         ready["active_tenancies"] = service.manager.active_tenancies
@@ -567,7 +674,7 @@ def announce_ready(
 
 
 def final_shutdown(service: AdmissionService) -> None:
-    """Common teardown: stop workers, checkpoint, close the journal."""
+    """Teardown: stop the admission thread, checkpoint, close the journal."""
     service.stop()
     if service.store is not None:
         # A clean shutdown checkpoints, so restart needs no replay.
@@ -599,37 +706,30 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     if args.journal_dir is not None:
         # Crash/degradation/SIGUSR2 flight dumps land next to the journal.
         configure_flight_recorder(dump_dir=args.journal_dir)
-    if getattr(args, "frontend", FRONTEND_THREADED) == FRONTEND_ASYNC:
-        from repro.service.aio import run_async_server  # local: optional layer
 
-        return run_async_server(service, args)
-    server = AdmissionTCPServer(
-        (args.host, args.port), service, client_timeout=args.client_timeout_s
-    )
-    host, port = server.server_address[:2]
-    service.start()
-
-    def _terminate(_signum, _frame) -> None:
-        server.request_shutdown()
-
-    def _dump_flight(_signum, _frame) -> None:
-        dump_flight_on_sigusr2()
+    async def _main() -> None:
+        door = AsyncFrontDoor(
+            service,
+            host=args.host,
+            port=args.port,
+            client_timeout=args.client_timeout_s,
+        )
+        await door.start()
+        service.start()
+        loop = asyncio.get_running_loop()
+        try:
+            loop.add_signal_handler(signal.SIGTERM, door.request_shutdown)
+            loop.add_signal_handler(signal.SIGINT, door.request_shutdown)
+            loop.add_signal_handler(signal.SIGUSR2, dump_flight_on_sigusr2)
+        except (NotImplementedError, AttributeError, ValueError):
+            pass  # platform without loop signal support
+        announce_ready(service, args, door.host, door.port)
+        await door.serve_until_shutdown()
 
     try:
-        signal.signal(signal.SIGTERM, _terminate)
-        signal.signal(signal.SIGINT, _terminate)
-        signal.signal(signal.SIGUSR2, _dump_flight)
-    except ValueError:
-        pass  # not the main thread (in-process tests drive the server directly)
-    except AttributeError:
-        pass  # platform without SIGUSR2
-
-    announce_ready(service, args, host, port)
-    try:
-        server.serve_forever(poll_interval=0.1)
+        asyncio.run(_main())
     except KeyboardInterrupt:
         pass
     finally:
-        server.server_close()
         final_shutdown(service)
     return 0

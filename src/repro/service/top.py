@@ -30,8 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.logconfig import LOG_LEVELS, setup_logging
-from repro.service.client import ServiceClient
-from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
+from repro.service.client import DEFAULT_HOST, DEFAULT_PORT, ServiceClient
 
 _CLEAR = "\x1b[2J\x1b[H"
 
@@ -76,7 +75,7 @@ def render_top(stats: Dict[str, Any], metrics: Dict[str, Any]) -> str:
             f"  retry_after={degradation.get('retry_after_s', 0.0):.1f}s"
         )
     lines.append(
-        f"svc-repro top — mode={stats.get('mode')} workers={stats.get('workers')} "
+        f"svc-repro top — mode={stats.get('mode')} "
         f"uptime={stats.get('uptime_s', 0.0):.0f}s"
     )
     lines.append(

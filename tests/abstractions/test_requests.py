@@ -1,5 +1,7 @@
 """Tenant request types: validation, derived baselines, sorting."""
 
+import math
+
 import pytest
 
 from repro.abstractions import (
@@ -25,6 +27,11 @@ class TestDeterministicVC:
     def test_rejects_negative_bandwidth(self):
         with pytest.raises(ValueError):
             DeterministicVC(n_vms=1, bandwidth=-1.0)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_rejects_non_finite_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="finite"):
+            DeterministicVC(n_vms=1, bandwidth=bandwidth)
 
     def test_zero_bandwidth_is_allowed(self):
         # A compute-only tenant reserves no bandwidth.
@@ -69,6 +76,13 @@ class TestHomogeneousSVC:
             HomogeneousSVC(n_vms=2, mean=-1.0, std=0.0)
         with pytest.raises(ValueError):
             HomogeneousSVC(n_vms=2, mean=1.0, std=-1.0)
+
+    @pytest.mark.parametrize(
+        "mean, std", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_rejects_non_finite_params(self, mean, std):
+        with pytest.raises(ValueError, match="finite"):
+            HomogeneousSVC(n_vms=2, mean=mean, std=std)
 
 
 class TestHeterogeneousSVC:

@@ -256,7 +256,7 @@ class TestSingleShardEquivalence:
             shutdown(coordinator, shards)
 
         manager = NetworkManager(build_datacenter(TINY_SPEC), epsilon=0.05)
-        service = AdmissionService(manager, workers=1).start()
+        service = AdmissionService(manager).start()
         direct_log = []
         try:
             for op, payload in ops:

@@ -20,9 +20,9 @@ def small_request():
 class TestQueueBound:
     def test_submits_beyond_the_bound_shed_with_retry_after(self, tiny_tree):
         service = AdmissionService(
-            NetworkManager(tiny_tree), workers=1, max_queue_depth=2
+            NetworkManager(tiny_tree), max_queue_depth=2
         )
-        # Flag the service running without starting workers: the queue can
+        # Flag the service running without starting its thread: the queue can
         # only fill, making the bound deterministic to hit.
         service._running = True
         service.submit(small_request(), wait=False)
@@ -37,7 +37,7 @@ class TestQueueBound:
 
     def test_bound_counts_parked_requests_too(self, tiny_tree):
         service = AdmissionService(
-            NetworkManager(tiny_tree), workers=1, mode="batch", max_queue_depth=1
+            NetworkManager(tiny_tree), mode="batch", max_queue_depth=1
         )
         service._running = True
         service.submit(small_request(), wait=False)
@@ -46,7 +46,7 @@ class TestQueueBound:
 
     def test_unbounded_when_disabled(self, tiny_tree):
         service = AdmissionService(
-            NetworkManager(tiny_tree), workers=1, max_queue_depth=None
+            NetworkManager(tiny_tree), max_queue_depth=None
         )
         service._running = True
         for _ in range(50):
@@ -55,7 +55,7 @@ class TestQueueBound:
 
     def test_queue_accept_failpoint_forces_saturation(self, tiny_tree):
         FAILPOINTS.arm(FP_QUEUE_ACCEPT, MODE_SHED)
-        service = AdmissionService(NetworkManager(tiny_tree), workers=1)
+        service = AdmissionService(NetworkManager(tiny_tree))
         service._running = True
         with pytest.raises(OverloadedError):
             service.submit(small_request(), wait=False)
@@ -68,7 +68,7 @@ class TestQueueBound:
 class TestServerSideDeadlines:
     def test_default_timeout_expires_unserved_requests(self, tiny_tree):
         with AdmissionService(
-            NetworkManager(tiny_tree), workers=1, default_timeout_s=0.0
+            NetworkManager(tiny_tree), default_timeout_s=0.0
         ) as service:
             ticket = service.submit(small_request(), wait=True, wait_timeout=5.0)
             assert ticket.outcome == OUTCOME_EXPIRED
@@ -76,7 +76,7 @@ class TestServerSideDeadlines:
 
     def test_explicit_timeout_overrides_the_default(self, tiny_tree):
         with AdmissionService(
-            NetworkManager(tiny_tree), workers=1, default_timeout_s=0.0
+            NetworkManager(tiny_tree), default_timeout_s=0.0
         ) as service:
             ticket = service.submit(
                 small_request(), timeout_s=30.0, wait=True, wait_timeout=5.0
@@ -86,7 +86,7 @@ class TestServerSideDeadlines:
 
 class TestIdempotentSubmit:
     def test_same_key_returns_the_same_ticket(self, tiny_tree):
-        with AdmissionService(NetworkManager(tiny_tree), workers=1) as service:
+        with AdmissionService(NetworkManager(tiny_tree)) as service:
             first = service.submit(
                 small_request(), wait=True, idempotency_key="k1"
             )
@@ -100,7 +100,7 @@ class TestIdempotentSubmit:
             assert service.manager.active_tenancies == 1  # no double-admit
 
     def test_different_keys_are_independent(self, tiny_tree):
-        with AdmissionService(NetworkManager(tiny_tree), workers=1) as service:
+        with AdmissionService(NetworkManager(tiny_tree)) as service:
             a = service.submit(small_request(), wait=True, idempotency_key="a")
             b = service.submit(small_request(), wait=True, idempotency_key="b")
             assert a.request_id != b.request_id
@@ -110,7 +110,6 @@ class TestIdempotentSubmit:
         # Simulate a post-recovery service seeded with a journaled decision.
         with AdmissionService(
             NetworkManager(tiny_tree),
-            workers=1,
             idempotency_index={
                 "old": {"outcome": OUTCOME_ADMITTED, "request_id": 41}
             },
@@ -127,6 +126,6 @@ class TestIdempotentSubmit:
             assert service.manager.active_tenancies == 0
 
     def test_stats_report_live_key_count(self, tiny_tree):
-        with AdmissionService(NetworkManager(tiny_tree), workers=1) as service:
+        with AdmissionService(NetworkManager(tiny_tree)) as service:
             service.submit(small_request(), wait=True, idempotency_key="x")
             assert service.stats()["idempotency"]["keys"] == 1

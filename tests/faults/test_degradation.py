@@ -87,7 +87,7 @@ class TestServiceDegradation:
     def test_journal_failure_rolls_back_and_degrades(self, tiny_tree, tmp_path):
         store = DurabilityStore(tmp_path / "j")
         service = AdmissionService(
-            NetworkManager(tiny_tree), store=store, workers=1,
+            NetworkManager(tiny_tree), store=store,
             degradation=DegradationLadder(probe_interval=30.0),
         )
         with service:
@@ -110,7 +110,7 @@ class TestServiceDegradation:
     def test_probe_recovers_full_service(self, tiny_tree, tmp_path):
         store = DurabilityStore(tmp_path / "j")
         service = AdmissionService(
-            NetworkManager(tiny_tree), store=store, workers=1,
+            NetworkManager(tiny_tree), store=store,
             degradation=DegradationLadder(probe_interval=0.01),
         )
         with service:
@@ -135,7 +135,7 @@ class TestServiceDegradation:
         store = DurabilityStore(tmp_path / "j")
         ladder = DegradationLadder(probe_interval=30.0, fast_fail_after=1)
         service = AdmissionService(
-            NetworkManager(tiny_tree), store=store, workers=1, degradation=ladder,
+            NetworkManager(tiny_tree), store=store, degradation=ladder,
         )
         with service:
             FAILPOINTS.arm(FP_JOURNAL_WRITE, MODE_ERROR)
@@ -152,7 +152,7 @@ class TestServiceDegradation:
     ):
         store = DurabilityStore(tmp_path / "j")
         service = AdmissionService(
-            NetworkManager(tiny_tree), store=store, workers=1,
+            NetworkManager(tiny_tree), store=store,
             degradation=DegradationLadder(probe_interval=0.01),
         )
         with service:
@@ -178,7 +178,7 @@ class TestServiceDegradation:
     def test_stats_and_metrics_surface_degradation(self, tiny_tree, tmp_path):
         store = DurabilityStore(tmp_path / "j")
         service = AdmissionService(
-            NetworkManager(tiny_tree), store=store, workers=1,
+            NetworkManager(tiny_tree), store=store,
             degradation=DegradationLadder(probe_interval=30.0),
         )
         with service:

@@ -39,7 +39,7 @@ def crash_resize_at(failpoint, directory, tree):
     """Admit one tenant, then crash at ``failpoint`` while resizing it."""
     store = DurabilityStore(directory)
     manager = NetworkManager(tree)
-    service = AdmissionService(manager, store=store, workers=1)
+    service = AdmissionService(manager, store=store)
     service.start()
     ticket = service.submit(
         HomogeneousSVC(n_vms=OLD_N, mean=50.0, std=10.0), wait=True
@@ -93,7 +93,7 @@ class TestCrashDuringResize:
         rid = crash_resize_at(FP_RESIZE_AFTER_JOURNAL, tmp_path / "j", tiny_tree)
         store = DurabilityStore(tmp_path / "j")
         recovered, _report = recover_manager(store, tiny_tree)
-        with AdmissionService(recovered, store=store, workers=1) as service:
+        with AdmissionService(recovered, store=store) as service:
             decision = service.resize(rid, new_n=2)
             assert decision["outcome"] in ("in_place", "replaced")
             assert recovered.tenancy(rid).n_vms == 2

@@ -1,6 +1,8 @@
 """Service-layer telemetry: metrics endpoint, latency summary, top view."""
 
+import asyncio
 import json
+import threading
 
 from repro.abstractions import HomogeneousSVC
 from repro.manager.network_manager import NetworkManager
@@ -11,14 +13,14 @@ from repro.service.concurrency import (
     AdmissionService,
     LatencyWindow,
 )
-from repro.service.server import AdmissionTCPServer
+from repro.service.server import AsyncFrontDoor
 from repro.service.top import render_top
 from repro.topology import TINY_SPEC, build_datacenter
 
 
 def tiny_service():
     return AdmissionService(
-        NetworkManager(build_datacenter(TINY_SPEC), epsilon=0.05), workers=2
+        NetworkManager(build_datacenter(TINY_SPEC), epsilon=0.05)
     )
 
 
@@ -91,20 +93,27 @@ class TestServiceMetricsEndpoint:
 
     def test_tcp_roundtrip_serves_metrics(self, fresh_registry):
         with tiny_service() as service:
-            server = AdmissionTCPServer(("127.0.0.1", 0), service)
-            import threading
+            doors = []
+            bound = threading.Event()
 
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            async def serve():
+                door = AsyncFrontDoor(service)
+                await door.start()
+                doors.append(door)
+                bound.set()
+                await door.serve_until_shutdown()
+
+            thread = threading.Thread(target=asyncio.run, args=(serve(),), daemon=True)
             thread.start()
+            assert bound.wait(10.0), "front door did not bind"
             try:
-                port = server.server_address[1]
-                with ServiceClient(host="127.0.0.1", port=port) as client:
+                with ServiceClient(host="127.0.0.1", port=doors[0].port) as client:
                     client.submit(HomogeneousSVC(n_vms=2, mean=50.0, std=20.0))
                     payload = client.metrics()
             finally:
-                server.shutdown()
-                server.server_close()
+                doors[0].request_shutdown()
                 thread.join(timeout=5.0)
+            assert not thread.is_alive()
         assert "repro_service_events_total" in payload["metrics"]
         assert payload["prometheus"].startswith("# ")
 
@@ -116,7 +125,7 @@ class TestRenderTop:
             stats = service.stats()
             metrics = service.metrics()["metrics"]
         frame = render_top(stats, metrics)
-        assert "svc-repro top — mode=online workers=2" in frame
+        assert "svc-repro top — mode=online uptime=" in frame
         assert "requests submitted=1  admitted=1" in frame
         assert "machine" in frame  # per-level occupancy table
         assert "headroom" in frame
@@ -128,7 +137,6 @@ class TestRenderTop:
         # dashboard must still render the stats-only sections.
         stats = {
             "mode": "online",
-            "workers": 4,
             "uptime_s": 12.0,
             "counters": {"submitted": 0},
             "queue": {"ready": 0, "parked": 0},
@@ -137,5 +145,5 @@ class TestRenderTop:
             "slots": {},
         }
         frame = render_top(stats, {})
-        assert "svc-repro top — mode=online workers=4" in frame
+        assert "svc-repro top — mode=online uptime=12s" in frame
         assert "empirical outage" not in frame

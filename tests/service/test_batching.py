@@ -139,14 +139,14 @@ def recorded_trace():
 
 
 def serve_trace(tree, batch_max, weights=None):
-    """Run the trace through a single-worker service; return outcomes+state.
+    """Run the trace through the service; return outcomes+state.
 
-    The trace is enqueued in arrival order before workers start, so the
-    fair queue's serving order is deterministic and shared by both runs.
+    The trace is enqueued in arrival order before the admission thread
+    starts, so the fair queue's serving order is deterministic and shared
+    by both runs.
     """
     service = AdmissionService(
         NetworkManager(tree),
-        workers=1,
         batch_max=batch_max,
         tenant_weights=weights,
         max_queue_depth=None,
@@ -185,7 +185,7 @@ class TestServiceBatchingEquivalence:
 
     def test_shape_change_breaks_the_batch_not_the_order(self, tiny_tree):
         with AdmissionService(
-            NetworkManager(tiny_tree), workers=1, batch_max=8
+            NetworkManager(tiny_tree), batch_max=8
         ) as service:
             shapes = [
                 service.submit(homogeneous(n_vms=2 + (i // 3))).outcome
@@ -198,7 +198,7 @@ class TestServiceBatchingEquivalence:
             AdmissionService(NetworkManager(tiny_tree), batch_max=0)
         with pytest.raises(ValueError):
             AdmissionService(NetworkManager(tiny_tree), batch_linger_s=-1.0)
-        with AdmissionService(NetworkManager(tiny_tree), workers=1) as service:
+        with AdmissionService(NetworkManager(tiny_tree)) as service:
             stats = service.stats()["batching"]
             assert stats["batch_max"] == 1
             assert stats["coalesce_ratio"] == 0.0

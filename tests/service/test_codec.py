@@ -17,6 +17,8 @@ from repro.service.codec import (
     request_from_dict,
     request_to_dict,
 )
+from repro.service.concurrency import AdmissionService
+from repro.service.server import dispatch_command, error_response
 from repro.stochastic import Normal
 
 
@@ -116,3 +118,65 @@ class TestNetworkStateDict:
         assert network_state_to_dict(manager.state) != before
         manager.release(tenancy)
         assert network_state_to_dict(manager.state) == before
+
+
+_HOMOGENEOUS = {"kind": "homogeneous", "n_vms": 2, "mean": 50.0, "std": 10.0}
+
+
+def _submit(**fields):
+    return lambda ids: {"op": "submit", "request": {**_HOMOGENEOUS, **fields}}
+
+
+def _resize(tenant, **fields):
+    return lambda ids: {"op": "resize", "request_id": ids[tenant], **fields}
+
+
+class TestWireBoundary:
+    """Numbers the admission model cannot reason about never reach it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(_submit(n_vms=2.9), id="submit-n_vms-fractional"),
+            pytest.param(_submit(n_vms=True), id="submit-n_vms-bool"),
+            pytest.param(_submit(n_vms="2"), id="submit-n_vms-string"),
+            pytest.param(_submit(mean=math.nan), id="submit-mean-nan"),
+            pytest.param(_submit(std=math.inf), id="submit-std-inf"),
+            pytest.param(_submit(mean=True), id="submit-mean-bool"),
+            pytest.param(
+                _submit(kind="deterministic", bandwidth=math.nan), id="submit-bandwidth-nan"
+            ),
+            pytest.param(_resize("one_machine", new_mu=math.nan), id="resize-one-machine-mu-nan"),
+            pytest.param(
+                _resize("multi_machine", new_mu=math.nan), id="resize-multi-machine-mu-nan"
+            ),
+            pytest.param(
+                _resize("multi_machine", new_sigma=math.inf),
+                id="resize-multi-machine-sigma-inf",
+            ),
+            pytest.param(_resize("one_machine", new_n=3.5), id="resize-n-fractional"),
+            pytest.param(_resize("one_machine", new_n=False), id="resize-n-bool"),
+        ],
+    )
+    def test_bad_numbers_get_a_typed_error_envelope(self, tiny_tree, build):
+        with AdmissionService(NetworkManager(tiny_tree)) as service:
+            ids = {}
+            for name, n_vms in (("one_machine", 2), ("multi_machine", 8)):
+                ticket = service.submit(HomogeneousSVC(n_vms=n_vms, mean=50.0, std=10.0))
+                ids[name] = ticket.request_id
+            spans = {
+                name: len(service.manager.get_tenancy(rid).allocation.machine_counts)
+                for name, rid in ids.items()
+            }
+            assert spans["one_machine"] == 1 and spans["multi_machine"] > 1
+            state_before = network_state_to_dict(service.manager.state)
+            counters_before = service.counters.as_dict()
+            # Round-trip through JSON as the wire does (NaN/Infinity literals).
+            command = json.loads(json.dumps(build(ids)))
+            with pytest.raises(CodecError) as excinfo:
+                dispatch_command(service, command, lambda: None)
+            response = error_response(excinfo.value)
+            assert response["ok"] is False
+            assert not response["error"].startswith("ValueError")
+            assert network_state_to_dict(service.manager.state) == state_before
+            assert service.counters.as_dict() == counters_before

@@ -173,9 +173,9 @@ def test_no_tenant_starves(arrivals, weights):
 class TestTenantQuota:
     def test_over_quota_shed_carries_code_and_retry_after(self, tiny_tree):
         service = AdmissionService(
-            NetworkManager(tiny_tree), workers=1, tenant_quota=2
+            NetworkManager(tiny_tree), tenant_quota=2
         )
-        # Flag the service running without starting workers: the queue can
+        # Flag the service running without starting its thread: the queue can
         # only fill, so the third submission from one tenant must shed.
         service._running = True
         try:
@@ -209,10 +209,11 @@ class TestTenantQuota:
 
     def test_quota_drains_and_recovers(self, tiny_tree):
         with AdmissionService(
-            NetworkManager(tiny_tree), workers=1, tenant_quota=1
+            NetworkManager(tiny_tree), tenant_quota=1
         ) as service:
-            # With workers running the slice drains, so sequential submits
-            # from one tenant all land despite the quota of one.
+            # With the admission thread running the slice drains, so
+            # sequential submits from one tenant all land despite the
+            # quota of one.
             for _ in range(4):
                 ticket = service.submit(
                     HomogeneousSVC(n_vms=2, mean=10.0, std=1.0), tenant="t"

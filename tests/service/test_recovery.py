@@ -48,7 +48,7 @@ def run_journaled_workload(tree, directory, seed, operations=60, snapshot_every=
     rng = np.random.default_rng(seed)
     store = DurabilityStore(directory, snapshot_every=snapshot_every)
     manager = NetworkManager(tree)
-    with AdmissionService(manager, store=store, workers=1) as service:
+    with AdmissionService(manager, store=store) as service:
         active = []
         for _ in range(operations):
             if active and rng.random() < 0.35:
@@ -135,7 +135,7 @@ class TestCleanRecovery:
         run_journaled_workload(tiny_tree, tmp_path / "j", seed=3, operations=30)
         store = DurabilityStore(tmp_path / "j")
         recovered, _ = recover_manager(store, tiny_tree)
-        with AdmissionService(recovered, store=store, workers=1) as service:
+        with AdmissionService(recovered, store=store) as service:
             ticket = service.submit(HomogeneousSVC(n_vms=2, mean=50.0, std=10.0))
             assert ticket.outcome == OUTCOME_ADMITTED
         store.close()
@@ -224,7 +224,7 @@ class TestIdempotencyIndexRebuild:
         store = DurabilityStore(directory, snapshot_every=2)
         manager = NetworkManager(tiny_tree)
         admitted = {}
-        with AdmissionService(manager, store=store, workers=1) as service:
+        with AdmissionService(manager, store=store) as service:
             for index in range(4):
                 ticket = service.submit(
                     HomogeneousSVC(n_vms=2, mean=40.0, std=8.0),
@@ -269,7 +269,6 @@ class TestIdempotencyIndexRebuild:
         with AdmissionService(
             recovered,
             store=store,
-            workers=1,
             idempotency_index=report.idempotency_index,
         ) as service:
             for key in ("key-0", "key-3", "key-reject"):

@@ -15,7 +15,7 @@ from repro.service.recovery import recover_manager
 
 def admitted_service(tree, store=None):
     manager = NetworkManager(tree)
-    service = AdmissionService(manager, store=store, workers=1)
+    service = AdmissionService(manager, store=store)
     service.start()
     ticket = service.submit(HomogeneousSVC(n_vms=4, mean=50.0, std=10.0), wait=True)
     assert ticket.outcome == OUTCOME_ADMITTED
@@ -56,7 +56,7 @@ class TestServiceResize:
 
     def test_accepted_shrink_requeues_parked_batch_requests(self, tiny_tree):
         manager = NetworkManager(tiny_tree)
-        with AdmissionService(manager, workers=2, mode="batch") as service:
+        with AdmissionService(manager, mode="batch") as service:
             blockers = []
             while True:
                 ticket = service.submit(

@@ -48,8 +48,6 @@ def spawn_server(journal_dir, extra_args=()):
             str(journal_dir),
             "--snapshot-every",
             "40",
-            "--workers",
-            "4",
             *extra_args,
         ],
         stdout=subprocess.PIPE,

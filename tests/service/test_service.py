@@ -20,7 +20,7 @@ from repro.service.codec import network_state_to_dict
 
 @pytest.fixture()
 def service(tiny_tree):
-    with AdmissionService(NetworkManager(tiny_tree), workers=2) as svc:
+    with AdmissionService(NetworkManager(tiny_tree)) as svc:
         yield svc
 
 
@@ -83,7 +83,7 @@ class TestConcurrentClients:
     def test_many_threads_agree_with_oracle_journal(self, tiny_tree, plain_store):
         """4 submitting threads; the final state must equal the WAL replay."""
         manager = NetworkManager(tiny_tree)
-        with AdmissionService(manager, store=plain_store, workers=4) as svc:
+        with AdmissionService(manager, store=plain_store) as svc:
             def client(seed):
                 admitted = []
                 for index in range(25):
@@ -107,7 +107,7 @@ class TestConcurrentClients:
         assert sorted(active) == sorted(t.request_id for t in manager.tenancies())
 
     def test_every_ticket_resolves(self, tiny_tree):
-        with AdmissionService(NetworkManager(tiny_tree), workers=3) as svc:
+        with AdmissionService(NetworkManager(tiny_tree)) as svc:
             tickets = [svc.submit(small_svc(), wait=False) for _ in range(40)]
             for ticket in tickets:
                 assert ticket.wait(10.0), "ticket never resolved"
@@ -117,7 +117,7 @@ class TestConcurrentClients:
 class TestBatchMode:
     def test_rejected_request_waits_and_retries_on_departure(self, tiny_tree):
         manager = NetworkManager(tiny_tree)
-        with AdmissionService(manager, mode="batch", workers=2) as svc:
+        with AdmissionService(manager, mode="batch") as svc:
             blockers = []
             while True:
                 ticket = svc.submit(
@@ -136,7 +136,7 @@ class TestBatchMode:
             assert waiter.outcome == OUTCOME_ADMITTED
 
     def test_parked_request_expires_at_deadline(self, tiny_tree):
-        with AdmissionService(NetworkManager(tiny_tree), mode="batch", workers=2) as svc:
+        with AdmissionService(NetworkManager(tiny_tree), mode="batch") as svc:
             blockers = []
             while True:
                 ticket = svc.submit(

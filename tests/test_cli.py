@@ -146,7 +146,7 @@ class TestServeRouting:
         assert args.scale == "small"
         assert args.allocator == "default"
         assert args.mode == "online"
-        assert args.workers == 4
+        assert args.batch_max == 8
         assert args.epsilon == 0.05
 
     def test_serve_parser_rejects_unknown_mode(self):
