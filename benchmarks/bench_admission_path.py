@@ -202,8 +202,11 @@ def main(argv=None) -> None:
         num_jobs=args.num_jobs,
         variants=tuple(args.variants),
     )
+    # Stamp before opening the output: truncating a tracked artifact first
+    # would make the provenance report a dirty tree.
+    payload = stamped(payload)
     with open(args.output, "w") as handle:
-        json.dump(stamped(payload), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"[bench_admission_path] wrote {args.output}")
     for prefix, label in (("svc_dp", "svc-dp"), ("svc_het", "svc-het")):

@@ -165,8 +165,11 @@ def main(argv=None) -> int:
         print(f"[bench_cluster] speedup 4 shards vs 1: {payload['speedup_4x_vs_1x']}x")
     payload["occupancy_valid"] = all(row["occupancy_valid"] for row in rows.values())
 
+    # Stamp before opening the output: truncating a tracked artifact first
+    # would make the provenance report a dirty tree.
+    payload = stamped(payload)
     with open(args.output, "w") as handle:
-        json.dump(stamped(payload), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"[bench_cluster] wrote {args.output}")
     return 0

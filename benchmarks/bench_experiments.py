@@ -125,8 +125,11 @@ def main(argv=None) -> None:
         if fastest["seconds"] > 0
         else 0.0,
     }
+    # Stamp before opening the output: truncating a tracked artifact first
+    # would make the provenance report a dirty tree.
+    payload = stamped(payload)
     with open(args.output, "w") as handle:
-        json.dump(stamped(payload), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"[bench_experiments] wrote {args.output}")
 

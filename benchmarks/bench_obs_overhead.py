@@ -240,8 +240,11 @@ def main(argv=None) -> int:
             num_requests=args.cluster_requests,
             repeats=args.repeats,
         )
+    # Stamp before opening the output: truncating a tracked artifact first
+    # would make the provenance report a dirty tree.
+    payload = stamped(payload)
     with open(args.output, "w") as handle:
-        json.dump(stamped(payload), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"[bench_obs_overhead] wrote {args.output}")
     if args.metrics_output:

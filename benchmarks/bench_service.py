@@ -267,8 +267,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         std=args.std,
         linger_ms=args.batch_linger_ms,
     )
+    # Stamp before opening the output: truncating a tracked artifact first
+    # would make the provenance report a dirty tree.
+    payload = stamped(payload)
     with open(args.output, "w") as handle:
-        json.dump(stamped(payload), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"[bench_service] wrote {args.output}")
     if "batch32_speedup_vs_1" in payload:

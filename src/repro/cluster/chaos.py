@@ -26,7 +26,9 @@ referee checks the cluster-level contract:
    the live global allocations — the ledger sums to committed tenants
    *exactly*;
 4. **no acked admission lost, no acked release resurrected** — judged at
-   the coordinator's global ids;
+   the coordinator's global ids — and every idempotency-index entry that
+   answers ``admitted`` names a live tenancy (a retry deduplicated onto a
+   dropped tenant would otherwise read as admitted);
 5. ``O_L < 1`` on every link of every shard, on the replica, and on the
    ledger (Eq. 4 survives recovery);
 6. **retries converge without double-admits**: each in-flight (unacked)
@@ -44,7 +46,7 @@ import random
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorError
 from repro.cluster.ledger import core_demands_of
@@ -267,7 +269,14 @@ def _referee(
                     f"{value}, committed tenants sum to {want}"
                 )
 
-    # 4. Acked admits survive; acked releases stay released.
+    # 4. Acked admits survive; acked releases stay released; no key
+    #    answers "admitted" for a tenant that does not exist.
+    for key, decision in list(coordinator._idem.items()):
+        gid = decision.get("request_id")
+        if decision.get("outcome") == "admitted" and gid not in coordinator._gid_map:
+            result.fail(
+                f"[{stage}] key {key} names admitted gid {gid}, which has no tenancy"
+            )
     for key, gid in acked_active.items():
         if gid not in coordinator._gid_map:
             result.fail(f"[{stage}] acked admission lost: {key} (gid {gid})")

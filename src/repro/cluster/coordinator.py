@@ -17,20 +17,29 @@ discipline as ``AdmissionService``):
 * a **write-ahead log** (reusing :class:`repro.service.journal.Journal`)
   whose record order is the order coordinator state changed.
 
-Request lifecycle:
+Every operation runs one protocol: journal ``intent{kind, gid, idem,
+payload}``, run its shard op(s), journal ``outcome{kind, gid, status,
+idem, payload}`` with status ``committed`` or ``aborted``.  The kinds:
 
-* **local** — routed to one shard (most free capacity, weighted by the
-  advisory rebalancer; with a single shard this degenerates to a pass-
-  through, which is what makes the one-shard cluster bit-identical to the
-  direct service).  The shard's own serialized admission guards everything
-  it touches, including its own core links; the coordinator mirrors the
-  decision into replica + ledger after the ack.
-* **cross-shard** — placement computed on the replica, then a two-phase
-  round: ``reserve`` effective bandwidth on the ledger (TTL'd), journal the
-  intent, ``adopt`` one revalidated fragment per shard, ``commit`` the
-  reservation (or release every adopted fragment and ``abort`` on any
-  conflict).  Every step is idempotent per global request id, so crash
-  recovery can re-walk the protocol without double-counting or leaking.
+* ``local`` — a submit routed to one shard (most free capacity, weighted by
+  the advisory rebalancer; with one shard this is a pass-through, which
+  makes the one-shard cluster bit-identical to the direct service).  The
+  shard's serialized admission guards everything it touches.
+* ``cross`` — after the routed shard rejects: a placement computed on the
+  replica, ``reserve``d on the ledger, ``adopt``ed as one revalidated
+  fragment per shard and ``commit``ted — or, on any conflict, every
+  fragment released and the reservation ``abort``ed.  It supersedes the
+  local intent of the same submit.
+* ``resize`` — at the owning shard, behind a ledger hold on the estimated
+  core-link growth.
+* ``release`` — needs no outcome: recovery always rolls it forward.
+
+**Mirror order**, the one rule every kind follows: the replica and the
+ledger drop a tenant's footprint *before* a shard frees it and add it
+*after* a shard acks, so the replica never holds capacity its shard has
+already freed and a submit that lands in just-freed slots mirrors cleanly.
+Every step is idempotent per global request id, so recovery
+(:meth:`ClusterCoordinator._recover`) can re-walk the protocol.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ import logging
 import os
 import threading
 import time
+from collections import Counter
 from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -86,17 +97,18 @@ def _tspan(trace: Optional[Trace], name: str):
     """A span on ``trace``, or a no-op scope when the request is unsampled."""
     return trace.span(name) if trace is not None else nullcontext()
 
-#: Coordinator WAL record types.  Unknown ops are skipped at replay, same
-#: forward-compatibility contract as ``recover_manager``.
-OP_RINTENT = "rintent"    # keyed single-shard submit routed, awaiting decision
-OP_RADMIT = "radmit"      # single-shard admission acknowledged by its shard
-OP_RREJECT = "rreject"    # keyed rejection decided
-OP_XINTENT = "xintent"    # two-phase round: reserved + fragments chosen
-OP_XCOMMIT = "xcommit"    # two-phase round: all fragments adopted
-OP_XABORT = "xabort"      # two-phase round: rolled back
-OP_RELEASE = "release"    # tenant departure completed
-OP_RSINTENT = "rsintent"  # resize routed to the owning shard, awaiting its ack
-OP_RSDONE = "rsdone"      # resize decided (accepted records carry the new size)
+#: Coordinator WAL record types (module docstring).  Unknown ops are skipped
+#: at replay, same forward-compatibility contract as ``recover_manager``.
+OP_INTENT = "intent"
+OP_OUTCOME = "outcome"
+
+KIND_LOCAL = "local"
+KIND_CROSS = "cross"
+KIND_RESIZE = "resize"
+KIND_RELEASE = "release"
+
+COMMITTED = "committed"
+ABORTED = "aborted"
 
 ROUTE_LOCAL = "local"
 ROUTE_CROSS = "cross_shard"
@@ -109,6 +121,17 @@ WAL_FILENAME = "coordinator.jsonl"
 
 class CoordinatorError(ServiceError):
     """The coordinator could not produce a decision (outcome unknown)."""
+
+
+@dataclass
+class _Op:
+    """One operation in flight: its global id, client key, clock and trace."""
+
+    gid: int
+    key: Optional[str]
+    started: float
+    trace: Optional[Trace] = None
+    tctx: Optional[TraceContext] = None
 
 
 class ClusterCoordinator:
@@ -156,22 +179,23 @@ class ClusterCoordinator:
         self._srid_map: Dict[Tuple[int, int], int] = {}
         #: client idempotency key -> decision payload.
         self._idem: Dict[str, Dict[str, Any]] = {}
+        #: global id -> the key whose submit admitted it: the key's entry
+        #: leaves the index with the tenant, so none names a missing tenant.
+        self._admitted_by: Dict[int, str] = {}
         #: client keys with a decision currently in flight (double-submit guard).
         self._inflight: set = set()
         #: shard index -> VMs of submits routed there but not yet decided;
         #: routing discounts these so concurrent submits spread across
         #: shards instead of piling onto the momentarily-most-free one.
-        self._inflight_vms: Dict[int, int] = {}
+        self._inflight_vms: Counter = Counter()
         self._shard_stats: Dict[int, Dict[str, Any]] = {}
         self.admitted_count = 0
         self.rejected_count = 0
         #: Per-outcome resize tallies — separate from the admission
         #: counters, same discipline as ``NetworkManager.resize_counts``.
-        self.resize_counts: Dict[str, int] = {
-            RESIZE_IN_PLACE: 0,
-            RESIZE_REPLACED: 0,
-            RESIZE_REJECTED: 0,
-        }
+        self.resize_counts: Dict[str, int] = dict.fromkeys(
+            (RESIZE_IN_PLACE, RESIZE_REPLACED, RESIZE_REJECTED), 0
+        )
         #: Monotonic resize round counter (restored from the WAL) so every
         #: round hands its shard a fresh idempotency key.
         self._resize_seq = 0
@@ -367,7 +391,7 @@ class ClusterCoordinator:
             free = max(
                 0,
                 self.shard_free_slots(shard.index)
-                - self._inflight_vms.get(shard.index, 0),
+                - self._inflight_vms[shard.index],
             )
             scored.append((free * weights[shard.index], free, shard.index))
         fitting = [row for row in scored if row[1] >= request.n_vms]
@@ -376,7 +400,134 @@ class ClusterCoordinator:
         return pool[0][2]
 
     # ------------------------------------------------------------------
-    # Submit
+    # Protocol pieces shared by every kind
+    # ------------------------------------------------------------------
+
+    def _once(
+        self, key: Optional[str], run: Callable[[], Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        """Run one keyed operation at most once (submit and resize): a known
+        key answers from the index, an in-flight one is refused for now."""
+        if key is None:
+            return run()
+        with self._lock:
+            known = self._idem.get(key)
+            if known is not None:
+                self._obs.routing(ROUTE_DEDUP)
+                return dict(known, deduped=True)
+            if key in self._inflight:
+                raise CoordinatorError(
+                    f"key {key!r} already has a decision in flight; "
+                    "retry after it resolves"
+                )
+            self._inflight.add(key)
+        try:
+            return run()
+        finally:
+            with self._lock:
+                self._inflight.discard(key)
+
+    def _journal(
+        self,
+        op: str,
+        kind: str,
+        gid: int,
+        undo: Optional[Callable[[], None]] = None,
+        **fields: Any,
+    ) -> Dict[str, Any]:
+        """Append one protocol record and return it.
+
+        ``undo`` makes a failed append roll the step back: it reverses what
+        the step did and the caller gets a :class:`CoordinatorError`
+        (outcome unknown; a retry with the same key converges).  Without it
+        the step rolls forward: the record is lost, and recovery re-derives
+        the same state from the shard journals.  :class:`InjectedCrash`
+        always propagates — a simulated death runs no cleanup.
+        """
+        try:
+            if self._wal is not None:
+                self._wal.append(op, kind=kind, gid=gid, **fields)
+        except InjectedCrash:
+            raise
+        except Exception as exc:
+            self._flight("wal_error", op=f"{kind} {op}", gid=gid, error=str(exc))
+            if undo is not None:
+                undo()
+                raise CoordinatorError(
+                    f"{kind} {op} not journaled ({type(exc).__name__}); rolled back"
+                ) from exc
+            logger.warning("gid=%d: %s %s not journaled: %s", gid, kind, op, exc)
+        return {"op": op, "kind": kind, "gid": gid, **fields}
+
+    def _hold(self, hold_id: int, core: Dict[int, CoreDemand]) -> bool:
+        """Phase 1 on the ledger: hold ``core``; False (nothing held) means a
+        core link would reach ``O_L >= 1``.  An empty footprint needs none."""
+        if not core:
+            return True
+        held = self.ledger.reserve(hold_id, core)
+        self._obs.reservation("reserve" if held else "reserve_denied")
+        return held
+
+    def _drop_hold(self, hold_id: int, reason: Optional[str] = None) -> None:
+        """Phase 2 on failure: abort a hold; ``reason`` marks a rolled-back round."""
+        if self.ledger.abort(hold_id) and reason is not None:
+            self._obs.reservation("abort")
+            self._flight("reservation_abort", gid=abs(hold_id), reason=reason)
+
+    def _mirror(self, gid: int, allocation: Allocation) -> None:
+        """Add a shard-acked footprint to the replica and the ledger: a cross
+        round's hold commits, anything else was validated by its shard."""
+        self.replica.adopt(allocation)
+        if self.ledger.is_reserved(gid):
+            self.ledger.commit(gid)
+            self._obs.reservation("commit")
+            return
+        core = core_demands_of(allocation, self.partition.core_link_ids)
+        if core:
+            self.ledger.commit_direct(gid, core)
+            self._obs.reservation("mirror")
+
+    def _unmirror(self, gid: int) -> None:
+        """Drop a tenant's footprint from the replica and the ledger."""
+        tenancy = self.replica.get_tenancy(gid)
+        if tenancy is not None:
+            self.replica.release(tenancy)
+        self.ledger.release(gid)
+
+    def _attach(self, gid: int, fragments: Dict[int, int]) -> None:
+        """Map an admitted tenant's fragments both ways. Lock held."""
+        self._gid_map[gid] = dict(fragments)
+        for shard_index, srid in fragments.items():
+            self._srid_map[(shard_index, srid)] = gid
+        self.admitted_count += 1
+
+    def _forget(self, gid: int) -> Dict[int, int]:
+        """Unmap a departing tenant and drop its key's admission. Lock held."""
+        fragments = self._gid_map.pop(gid, {})
+        for shard_index, srid in fragments.items():
+            self._srid_map.pop((shard_index, srid), None)
+        key = self._admitted_by.pop(gid, None)
+        if key is not None:
+            self._idem.pop(key, None)
+        return fragments
+
+    def _free(self, gid: int, fragments: Dict[int, int]) -> None:
+        """Release fragments at their shards; one that fails is left to recovery."""
+        for shard_index, srid in sorted(fragments.items()):
+            try:
+                self.shards[shard_index].release(srid)
+            except ServiceError:
+                logger.warning(
+                    "gid=%d: release of srid %d on shard %d failed; recovery "
+                    "will settle it", gid, srid, shard_index,
+                )
+
+    def _expire(self) -> None:
+        for _expired in self.ledger.expire():
+            self._obs.reservation("expire")
+
+    # ------------------------------------------------------------------
+    # Submit: a local intent, then a cross round if the shard rejects
     # ------------------------------------------------------------------
 
     def submit(
@@ -392,49 +543,27 @@ class ClusterCoordinator:
         retries with the same ``idempotency_key`` and converges on the
         journaled decision.
         """
-        if idempotency_key is None:
-            return self._submit(request, None, timeout)
-        with self._lock:
-            known = self._idem.get(idempotency_key)
-            if known is not None:
-                self._obs.routing(ROUTE_DEDUP)
-                return dict(known, deduped=True)
-            if idempotency_key in self._inflight:
-                raise CoordinatorError(
-                    f"key {idempotency_key!r} already has a decision in "
-                    "flight; retry after it resolves"
-                )
-            self._inflight.add(idempotency_key)
-        try:
-            return self._submit(request, idempotency_key, timeout)
-        finally:
-            with self._lock:
-                self._inflight.discard(idempotency_key)
+        return self._once(
+            idempotency_key, lambda: self._submit(request, idempotency_key, timeout)
+        )
 
     def _submit(
         self,
         request: VirtualClusterRequest,
-        idempotency_key: Optional[str],
+        key: Optional[str],
         timeout: Optional[float],
     ) -> Dict[str, Any]:
         started = self.clock()
         trace = self.tracer.start("cluster_admission")
-        tctx: Optional[TraceContext] = None
         with self._lock:
-            for _expired in self.ledger.expire():
-                self._obs.reservation("expire")
-            if idempotency_key is not None:
-                known = self._idem.get(idempotency_key)
-                if known is not None:
-                    self._obs.routing(ROUTE_DEDUP)
-                    return dict(known, deduped=True)
-            gid = self._next_gid
+            self._expire()
+            op = _Op(self._next_gid, key, started, trace)
             self._next_gid += 1
             if trace is not None:
                 # The cluster-wide id must be unique across processes and
                 # coordinator restarts within one run; pid + ring id is.
-                tctx = TraceContext(f"{os.getpid()}-{trace.trace_id}")
-                trace.annotate(gid=gid, trace_id_global=tctx.trace_id)
+                op.tctx = TraceContext(f"{os.getpid()}-{trace.trace_id}")
+                trace.annotate(gid=op.gid, trace_id_global=op.tctx.trace_id)
             with _tspan(trace, "route"):
                 target = self._route(request)
             FAILPOINTS.hit(FP_COORD_BEFORE_WAL)
@@ -442,190 +571,97 @@ class ClusterCoordinator:
             # after a rolled-back round get a fresh gid and therefore a
             # clean shard-side dedup slate, while client-level dedup lives
             # in the coordinator's own WAL-rebuilt index.
-            skey = f"r-{gid}"
-            if self._wal is not None:
-                try:
-                    self._wal.append(
-                        OP_RINTENT, gid=gid, idem=idempotency_key,
-                        skey=skey, shard=target,
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Nothing happened yet beyond burning a gid; the
-                    # outcome is unknown to the caller, who retries.
-                    self._flight(
-                        "wal_error", op=OP_RINTENT, gid=gid, error=str(exc)
-                    )
-                    raise CoordinatorError(
-                        f"intent not journaled ({type(exc).__name__})"
-                    ) from exc
+            skey = f"r-{op.gid}"
+            self._journal(
+                OP_INTENT, KIND_LOCAL, op.gid, undo=lambda: None,
+                idem=key, payload={"shard": target, "skey": skey},
+            )
             pending = int(request.n_vms)
-            self._inflight_vms[target] = self._inflight_vms.get(target, 0) + pending
+            self._inflight_vms[target] += pending
         try:
             with _tspan(trace, f"shard{target}:submit"):
                 decision = self.shards[target].submit(
                     request,
                     idempotency_key=skey,
                     timeout=self.decision_timeout_s if timeout is None else timeout,
-                    trace=tctx,
+                    trace=op.tctx,
                 )
-            self._collect_remote(trace, tctx)
+            self._collect_remote(trace, op.tctx)
             outcome = decision.get("outcome")
             if outcome == "admitted":
-                return self._complete_local_admit(
-                    gid, target, decision, idempotency_key, started, trace=trace
-                )
+                return self._commit_local(op, target, decision)
+            if outcome == "rejected" and self.num_shards > 1:
+                return self._submit_cross(op, request, decision.get("detail"))
             if outcome == "rejected":
-                if self.num_shards > 1:
-                    return self._submit_cross(
-                        request, gid, idempotency_key, started,
-                        first_reject=decision, trace=trace, tctx=tctx,
-                    )
-                return self._complete_reject(
-                    gid, idempotency_key, decision.get("detail"), started,
-                    ROUTE_REJECT, trace=trace,
-                )
+                return self._reject(op, KIND_LOCAL, decision.get("detail"))
             raise CoordinatorError(
                 f"shard {target} returned outcome {outcome!r} (ticket unresolved?)"
             )
         finally:
             with self._lock:
-                remaining = self._inflight_vms.get(target, 0) - pending
-                if remaining > 0:
-                    self._inflight_vms[target] = remaining
-                else:
-                    self._inflight_vms.pop(target, None)
+                self._inflight_vms[target] -= pending
 
-    def _complete_local_admit(
-        self,
-        gid: int,
-        shard_index: int,
-        decision: Dict[str, Any],
-        idempotency_key: Optional[str],
-        started: float,
-        trace: Optional[Trace] = None,
+    def _commit_local(
+        self, op: _Op, shard_index: int, decision: Dict[str, Any]
     ) -> Dict[str, Any]:
         srid = decision["request_id"]
-        local_allocation = decision.get("allocation")
+        if decision.get("allocation") is None:
+            raise CoordinatorError(
+                f"shard {shard_index} acked request {srid} without an allocation"
+            )
+        fragments = {shard_index: srid}
         with self._lock:
-            existing = self._srid_map.get((shard_index, srid))
-            if existing is not None:
-                # The shard deduplicated a retried key onto a tenancy the
-                # coordinator already accounts for — reuse its global id.
-                payload = self._decision(
-                    existing, "admitted", decision.get("detail"), ROUTE_LOCAL
-                )
-                self._remember(idempotency_key, payload)
-                self._obs.routing(ROUTE_DEDUP)
-                self._finish_trace(trace, ROUTE_DEDUP, "admitted")
-                return payload
-            if local_allocation is None:
-                raise CoordinatorError(
-                    f"shard {shard_index} acked request {srid} without an allocation"
-                )
-            view = self.shards[shard_index].view
-            global_allocation = view.allocation_to_global(local_allocation, request_id=gid)
-            if self._wal is not None:
-                try:
-                    self._wal.append(
-                        OP_RADMIT,
-                        gid=gid,
-                        shard=shard_index,
-                        srid=srid,
-                        idem=idempotency_key,
-                        allocation=allocation_to_dict(global_allocation),
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # The WAL will not remember this admission, so the
-                    # shard must forget it too (same rollback discipline
-                    # as the shard's own journal failures).
-                    self._flight(
-                        "wal_error", op=OP_RADMIT, gid=gid, error=str(exc)
-                    )
-                    try:
-                        self.shards[shard_index].release(srid)
-                    except ServiceError:
-                        logger.warning(
-                            "gid=%d: rollback release on shard %d failed; "
-                            "recovery will settle it", gid, shard_index,
-                        )
-                    raise CoordinatorError(
-                        f"admission not journaled ({type(exc).__name__}); "
-                        "rolled back"
-                    ) from exc
-            self.replica.adopt(global_allocation)
-            core = core_demands_of(global_allocation, self.partition.core_link_ids)
-            if core:
-                self.ledger.commit_direct(gid, core)
-                self._obs.reservation("mirror")
-            self._gid_map[gid] = {shard_index: srid}
-            self._srid_map[(shard_index, srid)] = gid
-            self.admitted_count += 1
-            payload = self._decision(
-                gid, "admitted", decision.get("detail"), ROUTE_LOCAL
+            allocation = self.shards[shard_index].view.allocation_to_global(
+                decision["allocation"], request_id=op.gid
             )
-            self._remember(idempotency_key, payload)
-            self._obs.routing(ROUTE_LOCAL)
-            self._obs.observe_latency("local", self.clock() - started)
-            self._flight(
-                "cluster_decision", gid=gid, outcome="admitted",
-                route=ROUTE_LOCAL, shard=shard_index,
+            # The WAL will not remember an unjournaled admission, so the
+            # shard must forget it too (same rollback discipline as the
+            # shard's own journal failures).
+            self._journal(
+                OP_OUTCOME, KIND_LOCAL, op.gid,
+                undo=lambda: self._free(op.gid, fragments),
+                status=COMMITTED, idem=op.key,
+                payload=self._admitted_payload(fragments, allocation),
             )
-            self._finish_trace(trace, ROUTE_LOCAL, "admitted")
-            return payload
+            self._mirror(op.gid, allocation)
+            self._attach(op.gid, fragments)
+            return self._answer(
+                op, "admitted", decision.get("detail"), ROUTE_LOCAL, shard=shard_index
+            )
 
-    def _complete_reject(
-        self,
-        gid: int,
-        idempotency_key: Optional[str],
-        detail: Optional[str],
-        started: float,
-        route: str,
-        trace: Optional[Trace] = None,
-    ) -> Dict[str, Any]:
+    def _reject(self, op: _Op, kind: str, detail: Optional[str]) -> Dict[str, Any]:
+        """Settle a rejected submit.  Only a keyed rejection is journaled, and
+        it rolls forward (a retry re-runs the deterministic decision); an
+        unkeyed one leaves its intent open for recovery to resolve."""
         with self._lock:
-            if self._wal is not None and idempotency_key is not None:
-                try:
-                    self._wal.append(OP_RREJECT, gid=gid, idem=idempotency_key)
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Roll forward: a lost reject record only means a
-                    # post-crash retry re-runs the (deterministic) decision.
-                    self._flight(
-                        "wal_error", op=OP_RREJECT, gid=gid, error=str(exc)
-                    )
-                    logger.warning("gid=%d: reject not journaled: %s", gid, exc)
+            if op.key is not None:
+                self._journal(
+                    OP_OUTCOME, kind, op.gid, status=ABORTED, idem=op.key,
+                    payload={"decision": "rejected"},
+                )
             self.rejected_count += 1
-            payload = self._decision(gid, "rejected", detail, route)
-            self._remember(idempotency_key, payload)
-            self._obs.routing(route)
-            self._obs.observe_latency("local", self.clock() - started)
-            self._flight(
-                "cluster_decision", gid=gid, outcome="rejected",
-                route=route, detail=detail,
-            )
-            self._finish_trace(trace, route, "rejected")
-            return payload
+            return self._answer(op, "rejected", detail, ROUTE_REJECT)
 
-    # ------------------------------------------------------------------
-    # Cross-shard two-phase path
-    # ------------------------------------------------------------------
+    def _answer(
+        self, op: _Op, outcome: str, detail: Optional[str], route: str, **flight: Any
+    ) -> Dict[str, Any]:
+        """Remember, count, time and trace one submit decision. Lock held."""
+        payload = self._decision(op.gid, outcome, detail, route)
+        self._remember(op.key, payload)
+        self._obs.routing(route)
+        path = "cross" if route in (ROUTE_CROSS, ROUTE_SPILL) else "local"
+        self._obs.observe_latency(path, self.clock() - op.started)
+        self._flight(
+            "cluster_decision", gid=op.gid, outcome=outcome, route=route,
+            detail=detail, **flight,
+        )
+        self._finish_trace(op.trace, route, outcome)
+        return payload
 
     def _submit_cross(
-        self,
-        request: VirtualClusterRequest,
-        gid: int,
-        idempotency_key: Optional[str],
-        started: float,
-        first_reject: Dict[str, Any],
-        trace: Optional[Trace] = None,
-        tctx: Optional[TraceContext] = None,
+        self, op: _Op, request: VirtualClusterRequest, detail: Optional[str]
     ) -> Dict[str, Any]:
-        last_detail = first_reject.get("detail")
+        gid, trace = op.gid, op.trace
         for attempt in range(1 + self.max_cross_retries):
             fragment_key = f"xfrag-{gid}-r{attempt}"
             with self._lock:
@@ -634,182 +670,84 @@ class ClusterCoordinator:
                         self.replica.state, request, gid
                     )
                 if allocation is None:
-                    return self._complete_reject(
-                        gid, idempotency_key, last_detail, started,
-                        ROUTE_REJECT, trace=trace,
-                    )
+                    return self._reject(op, KIND_CROSS, detail)
                 core = core_demands_of(allocation, self.partition.core_link_ids)
                 with _tspan(trace, "reserve"):
-                    reserved = self.ledger.reserve(gid, core)
-                if not reserved:
-                    self._obs.reservation("reserve_denied")
+                    held = self._hold(gid, core)
+                if not held:
                     self._flight("reservation_denied", gid=gid)
-                    return self._complete_reject(
-                        gid,
-                        idempotency_key,
-                        "core links at capacity (reservation denied)",
-                        started,
-                        ROUTE_REJECT,
-                        trace=trace,
+                    return self._reject(
+                        op, KIND_CROSS, "core links at capacity (reservation denied)"
                     )
-                self._obs.reservation("reserve")
                 FAILPOINTS.hit(FP_COORD_AFTER_RESERVE)
                 fragments = self._fragment(allocation)
-                if self._wal is not None:
-                    try:
-                        self._wal.append(
-                            OP_XINTENT,
-                            gid=gid,
-                            idem=idempotency_key,
-                            fkey=fragment_key,
-                            allocation=allocation_to_dict(allocation),
-                            fragments={
-                                str(shard_index): allocation_to_dict(fragment)
-                                for shard_index, fragment in fragments.items()
-                            },
-                            core={
-                                str(link_id): demand.to_dict()
-                                for link_id, demand in core.items()
-                            },
-                        )
-                    except InjectedCrash:
-                        raise
-                    except Exception as exc:
-                        self.ledger.abort(gid)
-                        self._obs.reservation("abort")
-                        self._flight(
-                            "wal_error", op=OP_XINTENT, gid=gid, error=str(exc)
-                        )
-                        self._flight(
-                            "reservation_abort", gid=gid,
-                            reason="intent_not_journaled",
-                        )
-                        raise CoordinatorError(
-                            f"two-phase intent not journaled "
-                            f"({type(exc).__name__}); reservation aborted"
-                        ) from exc
+                # Recovery needs only where the fragments went and under
+                # which key: the allocation itself rides on the outcome.
+                self._journal(
+                    OP_INTENT, KIND_CROSS, gid,
+                    undo=lambda: self._drop_hold(gid, "intent_not_journaled"),
+                    idem=op.key,
+                    payload={"fkey": fragment_key, "shards": sorted(fragments)},
+                )
             adopted: Dict[int, int] = {}
-            failure: Optional[Exception] = None
+            failure: Optional[ServiceError] = None
             for shard_index in sorted(fragments):
                 try:
                     with _tspan(trace, f"shard{shard_index}:adopt"):
                         adopted[shard_index] = self.shards[shard_index].adopt(
                             fragments[shard_index],
                             idempotency_key=fragment_key,
-                            trace=tctx,
+                            trace=op.tctx,
                         )
-                    self._collect_remote(trace, tctx)
-                except ConflictError as exc:
-                    failure = exc
-                    break
+                    self._collect_remote(trace, op.tctx)
                 except ServiceError as exc:
                     failure = exc
                     break
-            if failure is None:
-                with self._lock:
-                    FAILPOINTS.hit(FP_COORD_BEFORE_COMMIT)
-                    with _tspan(trace, "commit"):
-                        self.ledger.commit(gid)
-                    self._obs.reservation("commit")
-                    if self._wal is not None:
-                        try:
-                            self._wal.append(
-                                OP_XCOMMIT,
-                                gid=gid,
-                                idem=idempotency_key,
-                                srids={
-                                    str(shard_index): srid
-                                    for shard_index, srid in adopted.items()
-                                },
-                            )
-                        except InjectedCrash:
-                            raise
-                        except Exception as exc:
-                            # Without the commit record, recovery would
-                            # presume-abort this round — make the live
-                            # process agree: undo everything and report
-                            # the outcome as unknown.
-                            for shard_index, srid in adopted.items():
-                                try:
-                                    self.shards[shard_index].release(srid)
-                                except ServiceError:
-                                    logger.warning(
-                                        "gid=%d: commit rollback on shard %d "
-                                        "failed; recovery will presume-abort",
-                                        gid, shard_index,
-                                    )
-                            self.ledger.release(gid)
-                            self._obs.reservation("abort")
-                            self._flight(
-                                "wal_error", op=OP_XCOMMIT, gid=gid,
-                                error=str(exc),
-                            )
-                            self._flight(
-                                "reservation_abort", gid=gid,
-                                reason="commit_not_journaled",
-                            )
-                            raise CoordinatorError(
-                                f"commit not journaled ({type(exc).__name__}); "
-                                "round rolled back"
-                            ) from exc
-                    FAILPOINTS.hit(FP_COORD_AFTER_COMMIT)
-                    self.replica.adopt(allocation)
-                    self._gid_map[gid] = dict(adopted)
-                    for shard_index, srid in adopted.items():
-                        self._srid_map[(shard_index, srid)] = gid
-                    self.admitted_count += 1
-                    route = ROUTE_SPILL if len(fragments) == 1 else ROUTE_CROSS
-                    payload = self._decision(gid, "admitted", None, route)
-                    self._remember(idempotency_key, payload)
-                    self._obs.routing(route)
-                    self._obs.observe_latency("cross", self.clock() - started)
-                    self._flight(
-                        "cluster_decision", gid=gid, outcome="admitted",
-                        route=route, shards=sorted(fragments),
-                    )
-                    self._finish_trace(trace, route, "admitted")
-                    return payload
-            # Roll back this round: release adopted fragments, abort the
-            # reservation, journal the abort, then retry or give up.
-            for shard_index, srid in adopted.items():
-                try:
-                    self.shards[shard_index].release(srid)
-                except ServiceError:
-                    logger.warning(
-                        "gid=%d: fragment release on shard %d failed; recovery "
-                        "will presume-abort it", gid, shard_index,
-                    )
             with self._lock:
-                self.ledger.abort(gid)
-                self._obs.reservation("abort")
-                self._flight(
-                    "reservation_abort", gid=gid,
-                    reason=f"{type(failure).__name__}: {failure}",
-                )
-                if self._wal is not None:
-                    try:
-                        self._wal.append(OP_XABORT, gid=gid)
-                    except InjectedCrash:
-                        raise
-                    except Exception as exc:
-                        # Roll forward: a missing abort record just means
-                        # recovery presumes the abort from the dangling
-                        # intent, which lands in the same place.
-                        logger.warning("gid=%d: abort not journaled: %s", gid, exc)
-            if isinstance(failure, ConflictError):
-                last_detail = f"cross-shard conflict: {failure}"
-                continue
-            raise CoordinatorError(
-                f"cross-shard round for gid={gid} failed: {failure}"
-            ) from failure
-        return self._complete_reject(
-            gid,
-            idempotency_key,
-            last_detail or "cross-shard placement kept conflicting",
-            started,
-            ROUTE_REJECT,
-            trace=trace,
+                if failure is None:
+                    FAILPOINTS.hit(FP_COORD_BEFORE_COMMIT)
+
+                    def undo_round() -> None:
+                        self._drop_hold(gid, "commit_not_journaled")
+                        self._free(gid, adopted)
+
+                    self._journal(
+                        OP_OUTCOME, KIND_CROSS, gid, undo=undo_round,
+                        status=COMMITTED, idem=op.key,
+                        payload=self._admitted_payload(adopted, allocation),
+                    )
+                    FAILPOINTS.hit(FP_COORD_AFTER_COMMIT)
+                    with _tspan(trace, "commit"):
+                        self._mirror(gid, allocation)
+                    self._attach(gid, adopted)
+                    route = ROUTE_SPILL if len(fragments) == 1 else ROUTE_CROSS
+                    return self._answer(
+                        op, "admitted", None, route, shards=sorted(fragments)
+                    )
+                # Roll the round back.  The abort rolls forward: recovery
+                # frees the fragments of an aborted or a dangling round alike.
+                self._drop_hold(gid, f"{type(failure).__name__}: {failure}")
+                self._journal(OP_OUTCOME, KIND_CROSS, gid, status=ABORTED)
+            self._free(gid, adopted)
+            if not isinstance(failure, ConflictError):
+                raise CoordinatorError(
+                    f"cross-shard round for gid={gid} failed: {failure}"
+                ) from failure
+            detail = f"cross-shard conflict: {failure}"
+        return self._reject(
+            op, KIND_CROSS, detail or "cross-shard placement kept conflicting"
         )
+
+    @staticmethod
+    def _admitted_payload(
+        fragments: Dict[int, int], allocation: Allocation
+    ) -> Dict[str, Any]:
+        """The payload of a committed submit outcome (global allocation)."""
+        return {
+            "decision": "admitted",
+            "srids": {str(shard_index): srid for shard_index, srid in fragments.items()},
+            "allocation": allocation_to_dict(allocation),
+        }
 
     def _fragment(self, allocation: Allocation) -> Dict[int, Allocation]:
         """Split a global allocation into per-shard sub-allocations.
@@ -826,9 +764,7 @@ class ClusterCoordinator:
         for machine_id, count in allocation.machine_counts.items():
             shard_index = partition.node_to_shard[machine_id]
             per_shard_machines.setdefault(shard_index, {})[machine_id] = count
-        per_shard_links: Dict[int, Dict[int, Any]] = {
-            shard_index: {} for shard_index in per_shard_machines
-        }
+        per_shard_links: Dict[int, Dict[int, Any]] = {}
         for link_id, demand in allocation.link_demands.items():
             shard_index = partition.node_to_shard[link_id]
             # A link of a shard no VM landed in cannot carry hose demand.
@@ -840,26 +776,15 @@ class ClusterCoordinator:
             sub_request, machine_vms = self._sub_request(
                 allocation, machines, placed
             )
-            fragments[shard_index] = Allocation(
-                request=sub_request,
-                request_id=allocation.request_id,
-                host_node=view.tree.root_id,
-                machine_counts={
-                    view.from_global[machine_id]: count
-                    for machine_id, count in machines.items()
-                },
-                link_demands={
-                    view.from_global[link_id]: demand
-                    for link_id, demand in per_shard_links.get(shard_index, {}).items()
-                },
-                machine_vms=(
-                    {
-                        view.from_global[machine_id]: vms
-                        for machine_id, vms in machine_vms.items()
-                    }
-                    if machine_vms is not None
-                    else None
-                ),
+            fragments[shard_index] = view.allocation_to_local(
+                Allocation(
+                    request=sub_request,
+                    request_id=allocation.request_id,
+                    host_node=view.to_global[view.tree.root_id],
+                    machine_counts=machines,
+                    link_demands=per_shard_links.get(shard_index, {}),
+                    machine_vms=machine_vms,
+                )
             )
         return fragments
 
@@ -906,64 +831,19 @@ class ClusterCoordinator:
     def release(self, gid: int) -> bool:
         """Release one admitted tenant across all its shards; False if unknown.
 
-        Raises :class:`CoordinatorError` when the outcome is *unknown*: a
-        fragment could not be released at its shard AND the release record
-        could not be journaled, so no durable store records the departure.
-        The caller retries ``release(gid)`` — fragment releases and the
-        WAL append are both idempotent.
+        The intent is journaled and the footprint leaves the replica and the
+        ledger before any shard frees a fragment (mirror order); recovery
+        finishes a fragment whose shard failed.  Raises
+        :class:`CoordinatorError`, with nothing released, when the intent
+        cannot be journaled.
         """
         with self._lock:
-            entry = self._gid_map.get(gid)
-            if entry is None:
+            if gid not in self._gid_map:
                 return False
-            fragments = dict(entry)
-        shard_failures = 0
-        for shard_index, srid in sorted(fragments.items()):
-            try:
-                self.shards[shard_index].release(srid)
-            except ServiceError:
-                shard_failures += 1
-                logger.warning(
-                    "gid=%d: release on shard %d failed; recovery will finish it",
-                    gid, shard_index,
-                )
-        with self._lock:
-            journaled = False
-            if shard_failures and self._wal is not None:
-                # The failed shards' journals still carry their fragments,
-                # so this WAL record is the only durable evidence of the
-                # departure — it must land before the release is acked, or
-                # recovery would re-adopt the surviving fragments.
-                try:
-                    self._wal.append(OP_RELEASE, gid=gid)
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Nothing durable records the release; keep the maps
-                    # intact so a retry re-runs the idempotent steps.
-                    raise CoordinatorError(
-                        f"release of gid {gid} not journaled "
-                        f"({type(exc).__name__}); outcome unknown"
-                    ) from exc
-                journaled = True
-            if self._gid_map.pop(gid, None) is None:
-                return True  # lost a race with a concurrent release
-            for shard_index, srid in fragments.items():
-                self._srid_map.pop((shard_index, srid), None)
-            tenancy = self.replica.get_tenancy(gid)
-            if tenancy is not None:
-                self.replica.release(tenancy)
-            self.ledger.release(gid)
-            if self._wal is not None and not journaled:
-                try:
-                    self._wal.append(OP_RELEASE, gid=gid)
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Roll forward: every fragment is gone from its shard
-                    # journal, so recovery's release-completion pass will
-                    # finish the job without this record.
-                    logger.warning("gid=%d: release not journaled: %s", gid, exc)
+            self._journal(OP_INTENT, KIND_RELEASE, gid, undo=lambda: None)
+            self._unmirror(gid)
+            fragments = self._forget(gid)
+        self._free(gid, fragments)
         return True
 
     # ------------------------------------------------------------------
@@ -980,76 +860,45 @@ class ClusterCoordinator:
     ) -> Dict[str, Any]:
         """Resize one admitted tenant at its owning shard.
 
-        Single-fragment tenancies route to their shard, whose serialized
-        resize path revalidates Eq. (6) on every link it owns.  Grows that
-        would add effective bandwidth to the shared core links first pass a
-        two-phase **delta reservation** on the ledger (estimated from an
-        in-place plan on the replica), so a concurrent cross-shard round
-        cannot race the grown footprint past ``O_L = 1``; the reservation
-        is dropped once the ledger's committed entry is swapped to the
-        post-resize footprint (or on any failure).  Cross-shard tenancies
-        are rejected — shrinking or growing a placement that spans shards
-        would need a cross-shard re-plan, not a resize.
-
-        Raises :class:`CoordinatorError` when the outcome is unknown (the
-        shard acked nothing durable); a retry with the same
-        ``idempotency_key`` converges on the journaled decision.
+        The shard's serialized resize path revalidates Eq. (6) on every link
+        it owns; growth on the shared core links is first held on the ledger
+        (a **delta reservation** estimated from an in-place plan on the
+        replica), so a concurrent cross-shard round cannot race it past
+        ``O_L = 1``.  Cross-shard tenancies are rejected: resizing a
+        placement that spans shards would need a re-plan.  Raises
+        :class:`CoordinatorError` when the outcome is unknown; a retry with
+        the same ``idempotency_key`` converges on the journaled decision.
         """
-        started = self.clock()
-        if idempotency_key is not None:
-            with self._lock:
-                known = self._idem.get(idempotency_key)
-                if known is not None:
-                    return dict(known, deduped=True)
-                if idempotency_key in self._inflight:
-                    raise CoordinatorError(
-                        f"key {idempotency_key!r} already has a decision in "
-                        "flight; retry after it resolves"
-                    )
-                self._inflight.add(idempotency_key)
-        try:
-            return self._resize(
-                gid, new_n, new_mu, new_sigma, idempotency_key, started
-            )
-        finally:
-            if idempotency_key is not None:
-                with self._lock:
-                    self._inflight.discard(idempotency_key)
+        op = _Op(gid, idempotency_key, self.clock())
+        return self._once(
+            idempotency_key, lambda: self._resize(op, new_n, new_mu, new_sigma)
+        )
 
     def _resize(
         self,
-        gid: int,
+        op: _Op,
         new_n: Optional[int],
         new_mu: Optional[float],
         new_sigma: Optional[float],
-        idempotency_key: Optional[str],
-        started: float,
     ) -> Dict[str, Any]:
-        reserve_id = -gid  # synthetic ledger id for the delta hold
+        gid = op.gid
+        hold_id = -gid  # synthetic ledger id for the delta hold
         with self._lock:
-            for _expired in self.ledger.expire():
-                self._obs.reservation("expire")
+            self._expire()
             entry = self._gid_map.get(gid)
             if entry is None:
-                return {
-                    "outcome": "unknown",
-                    "request_id": gid,
-                    "detail": f"no active tenancy with id {gid}",
-                }
+                return self._decision(gid, "unknown", f"no active tenancy with id {gid}")
             if len(entry) > 1:
-                return self._resize_rejected(
-                    gid,
+                return self._settle_resize(
+                    op, RESIZE_REJECTED,
                     "tenancy spans multiple shards; resize requires a "
                     "single-shard placement",
-                    idempotency_key,
-                    started,
                 )
             ((shard_index, srid),) = entry.items()
             tenancy = self.replica.get_tenancy(gid)
             if tenancy is None:
                 raise CoordinatorError(
-                    f"gid {gid} mapped to shard {shard_index} but absent "
-                    "from the replica"
+                    f"gid {gid} has a resize in flight; retry after it resolves"
                 )
             old_allocation = tenancy.allocation
             try:
@@ -1060,52 +909,33 @@ class ClusterCoordinator:
                     new_sigma=new_sigma,
                 )
             except ValueError as exc:
-                return self._resize_rejected(
-                    gid, str(exc), idempotency_key, started
-                )
+                return self._settle_resize(op, RESIZE_REJECTED, str(exc))
             # Two-phase delta: estimate the post-resize core footprint from
             # an in-place plan on the replica and reserve the positive
             # component deltas before asking the shard.  The estimate only
-            # guards capacity — the committed footprint is reconciled from
+            # guards capacity — the committed footprint is mirrored from
             # the shard's actual post-resize allocation afterwards.
-            delta = self._core_delta(old_allocation, new_request)
-            if delta:
-                reserved = self.ledger.reserve(reserve_id, delta)
-                if not reserved:
-                    self._obs.reservation("reserve_denied")
-                    self._flight("reservation_denied", gid=gid, resize=True)
-                    return self._resize_rejected(
-                        gid,
-                        "core links at capacity (resize delta denied)",
-                        idempotency_key,
-                        started,
-                    )
-                self._obs.reservation("reserve")
+            if not self._hold(hold_id, self._core_delta(old_allocation, new_request)):
+                self._flight("reservation_denied", gid=gid, resize=True)
+                return self._settle_resize(
+                    op, RESIZE_REJECTED, "core links at capacity (resize delta denied)"
+                )
             self._resize_seq += 1
-            rseq = self._resize_seq
-            skey = f"rs-{gid}-{rseq}"
+            skey = f"rs-{gid}-{self._resize_seq}"
             FAILPOINTS.hit(FP_COORD_RESIZE_BEFORE_WAL)
-            if self._wal is not None:
-                try:
-                    self._wal.append(
-                        OP_RSINTENT,
-                        gid=gid,
-                        shard=shard_index,
-                        srid=srid,
-                        skey=skey,
-                        rseq=rseq,
-                        idem=idempotency_key,
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    self.ledger.abort(reserve_id)
-                    self._flight(
-                        "wal_error", op=OP_RSINTENT, gid=gid, error=str(exc)
-                    )
-                    raise CoordinatorError(
-                        f"resize intent not journaled ({type(exc).__name__})"
-                    ) from exc
+            self._journal(
+                OP_INTENT, KIND_RESIZE, gid,
+                undo=lambda: self._drop_hold(hold_id),
+                idem=op.key,
+                payload={
+                    "shard": shard_index, "srid": srid, "skey": skey,
+                    "rseq": self._resize_seq,
+                },
+            )
+            # Mirror order: a shrink or a re-placement frees slots at the
+            # shard, so the old footprint leaves before the shard is asked.
+            self._unmirror(gid)
+        failure: Optional[ServiceError] = None
         try:
             decision = self.shards[shard_index].resize(
                 srid,
@@ -1115,112 +945,59 @@ class ClusterCoordinator:
                 idempotency_key=skey,
             )
         except ServiceError as exc:
-            with self._lock:
-                self.ledger.abort(reserve_id)
-                self._obs.reservation("abort")
-            raise CoordinatorError(
-                f"resize of gid {gid} did not conclude at shard "
-                f"{shard_index}: {exc}"
-            ) from exc
+            decision, failure = {"detail": str(exc)}, exc
         outcome = decision.get("outcome")
         with self._lock:
-            self.ledger.abort(reserve_id)
-            if outcome not in (RESIZE_IN_PLACE, RESIZE_REPLACED):
-                if outcome != RESIZE_REJECTED:
-                    raise CoordinatorError(
-                        f"shard {shard_index} returned resize outcome "
-                        f"{outcome!r} for gid {gid}"
-                    )
-                return self._resize_rejected(
-                    gid, decision.get("detail"), idempotency_key, started
+            self._drop_hold(hold_id)
+            local = decision.get("allocation")
+            if local is None and outcome != RESIZE_REJECTED:
+                # An accepted answer without an allocation (the shard
+                # deduplicated the key onto an earlier round) or no answer
+                # at all: the shard's live tenancy is the truth.
+                local = self._shard_active(shard_index).get(srid)
+            allocation = old_allocation
+            if local is not None:
+                allocation = self.shards[shard_index].view.allocation_to_global(
+                    local, request_id=gid
                 )
-            local_allocation = decision.get("allocation")
-            if local_allocation is None:
-                # The shard deduplicated the key onto an earlier round; its
-                # live tenancy is the post-resize truth.
-                local_allocation = self._shard_active(shard_index).get(srid)
-                if local_allocation is None:
-                    raise CoordinatorError(
-                        f"shard {shard_index} acked resize of srid {srid} "
-                        "without an allocation"
-                    )
-            view = self.shards[shard_index].view
-            global_allocation = view.allocation_to_global(
-                local_allocation, request_id=gid
-            )
-            if self._wal is not None:
-                try:
-                    self._wal.append(
-                        OP_RSDONE,
-                        gid=gid,
-                        shard=shard_index,
-                        srid=srid,
-                        outcome=outcome,
-                        idem=idempotency_key,
-                        allocation=allocation_to_dict(global_allocation),
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Roll forward: the shard has already committed the new
-                    # size and its journal is authoritative — recovery's
-                    # shard reconciliation re-derives the post-resize
-                    # allocation without this record.
-                    self._flight(
-                        "wal_error", op=OP_RSDONE, gid=gid, error=str(exc)
-                    )
-                    logger.warning("gid=%d: resize not journaled: %s", gid, exc)
-            FAILPOINTS.hit(FP_COORD_RESIZE_AFTER_WAL)
-            old_tenancy = self.replica.get_tenancy(gid)
-            if old_tenancy is not None:
-                self.replica.release(old_tenancy)
-            self.replica.adopt(global_allocation)
-            self.ledger.release(gid)
-            core = core_demands_of(global_allocation, self.partition.core_link_ids)
-            if core:
-                self.ledger.commit_direct(gid, core)
-                self._obs.reservation("mirror")
-            self.resize_counts[outcome] += 1
-            payload = self._decision(
-                gid, outcome, decision.get("detail"), ROUTE_LOCAL
-            )
-            self._remember(idempotency_key, payload)
-            self._obs.observe_latency("resize", self.clock() - started)
-            self._flight(
-                "cluster_resize", gid=gid, outcome=outcome, shard=shard_index,
-            )
-            return payload
+            if gid in self._gid_map:  # unless a concurrent release dropped it
+                self._mirror(gid, allocation)
+            if outcome == RESIZE_REJECTED:
+                return self._settle_resize(op, RESIZE_REJECTED, decision.get("detail"))
+            if outcome not in (RESIZE_IN_PLACE, RESIZE_REPLACED) or local is None:
+                raise CoordinatorError(
+                    f"resize of gid {gid} did not conclude at shard "
+                    f"{shard_index}: {decision.get('detail') or outcome!r}"
+                ) from failure
+            return self._settle_resize(op, outcome, decision.get("detail"), allocation)
 
-    def _resize_rejected(
+    def _settle_resize(
         self,
-        gid: int,
+        op: _Op,
+        outcome: str,
         detail: Optional[str],
-        idempotency_key: Optional[str],
-        started: float,
+        allocation: Optional[Allocation] = None,
     ) -> Dict[str, Any]:
-        """Settle a rejected resize: journal, tally, remember. Lock held."""
-        if self._wal is not None:
-            try:
-                self._wal.append(
-                    OP_RSDONE, gid=gid, outcome=RESIZE_REJECTED,
-                    idem=idempotency_key,
-                )
-            except InjectedCrash:
-                raise
-            except Exception as exc:
-                # Roll forward: the old allocation stands either way; a
-                # post-crash retry re-runs the (deterministic) decision.
-                logger.warning(
-                    "gid=%d: resize reject not journaled: %s", gid, exc
-                )
-        self.resize_counts[RESIZE_REJECTED] += 1
-        payload = self._decision(gid, RESIZE_REJECTED, detail, ROUTE_LOCAL)
-        self._remember(idempotency_key, payload)
-        self._obs.observe_latency("resize", self.clock() - started)
-        self._flight(
-            "cluster_resize", gid=gid, outcome=RESIZE_REJECTED, detail=detail,
+        """Journal, tally and remember one resize decision. Lock held.
+
+        Rolls forward: a rejection leaves the old allocation standing, and
+        recovery reconciles an accepted size from the shard's journal.
+        """
+        payload: Dict[str, Any] = {"decision": outcome}
+        if allocation is not None:
+            payload["allocation"] = allocation_to_dict(allocation)
+        self._journal(
+            OP_OUTCOME, KIND_RESIZE, op.gid,
+            status=ABORTED if allocation is None else COMMITTED,
+            idem=op.key, payload=payload,
         )
-        return payload
+        FAILPOINTS.hit(FP_COORD_RESIZE_AFTER_WAL)
+        self.resize_counts[outcome] += 1
+        answer = self._decision(op.gid, outcome, detail, ROUTE_LOCAL)
+        self._remember(op.key, answer)
+        self._obs.observe_latency("resize", self.clock() - op.started)
+        self._flight("cluster_resize", gid=op.gid, outcome=outcome, detail=detail)
+        return answer
 
     def _core_delta(
         self, old_allocation: Allocation, new_request
@@ -1244,19 +1021,19 @@ class ClusterCoordinator:
         if plan is None:
             return {}
         core_ids = self.partition.core_link_ids
-        new_core = core_demands_of(plan.allocation, core_ids)
         old_core = core_demands_of(old_allocation, core_ids)
         delta: Dict[int, CoreDemand] = {}
-        for link_id, new_demand in new_core.items():
-            old_demand = old_core.get(link_id, CoreDemand())
-            mean = max(0.0, new_demand.mean - old_demand.mean)
-            variance = max(0.0, new_demand.variance - old_demand.variance)
-            det = max(0.0, new_demand.deterministic - old_demand.deterministic)
-            if mean > 0.0 or variance > 0.0 or det > 0.0:
-                delta[link_id] = CoreDemand(
-                    mean=mean, variance=variance, deterministic=det
-                )
+        for link_id, new in core_demands_of(plan.allocation, core_ids).items():
+            old = old_core.get(link_id, CoreDemand())
+            grown = CoreDemand(
+                mean=max(0.0, new.mean - old.mean),
+                variance=max(0.0, new.variance - old.variance),
+                deterministic=max(0.0, new.deterministic - old.deterministic),
+            )
+            if grown != CoreDemand():
+                delta[link_id] = grown
         return delta
+
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -1267,10 +1044,9 @@ class ClusterCoordinator:
         if self._wal is not None:
             self._wal.close()
 
-    def kill(self) -> None:
-        """Chaos-harness death: drop the WAL handle without any drain."""
-        if self._wal is not None:
-            self._wal.close()
+    #: Chaos-harness death: the WAL handle is dropped without any drain,
+    #: which is all ``stop`` does too.
+    kill = stop
 
     # ------------------------------------------------------------------
     # Recovery
@@ -1279,317 +1055,202 @@ class ClusterCoordinator:
     def _recover(self) -> None:
         """Rebuild coordinator state from the WAL + the recovered shards.
 
-        The shards recover themselves (their own WALs) before the
-        coordinator is constructed; this pass reconciles the coordinator's
-        view with what each shard actually journaled: dangling two-phase
-        rounds are presumed aborted, in-flight keyed submits resolve to
-        the shard's journaled decision, half-done releases are finished,
-        and shard tenancies the WAL never acknowledged are re-attached
-        under fresh global ids.  Idempotent: recovering twice converges.
+        The shards recover themselves (their own WALs) first.  Then:
+        **fold** the WAL into tenants and open intents; **resolve** each
+        open intent against its shard's journal (a dangling cross round is
+        presumed aborted, a submit or resize takes its shard's journaled
+        decision, one that never reached its shard stays open);
+        **reconcile** with the shards' live tenancies, which are
+        authoritative (a tenant with a fragment gone is dropped with its
+        key's admission, a size mismatch takes the shard's size, and
+        unlinked shard tenancies are re-attached under fresh ids); and only
+        then **adopt** the set into the replica and the ledger — the WAL
+        alone can over-state occupancy (a lost release record), so eager
+        adoption could collide with slots a shard has since reused.
 
-        Replica/ledger adoption is deferred until after the recovered set
-        has been reconciled against the shards' live tenancies.  The WAL
-        alone can over-state occupancy — a roll-forward release whose
-        record was lost leaves a stale radmit whose slots the shard has
-        since reused — and adopting stale tenancies into the replica
-        first would conflict with the re-used slots.  Shard journals are
-        authoritative for their own tenancies; only fragments still
-        active at their shard are adopted.
+        Recovery-decided outcomes are journaled and applied by the same
+        replay step as the WAL's own, so recovering twice converges.  Logs
+        of the earlier nine-record coordinator format are not read.
         """
         assert self._wal is not None
-        open_rintents: Dict[int, Dict[str, Any]] = {}
-        open_xintents: Dict[int, Dict[str, Any]] = {}
-        open_resizes: Dict[int, Dict[str, Any]] = {}
-        closed_xintents: List[Dict[str, Any]] = []
-        # gid -> (fragments {shard: srid}, global Allocation): the WAL's
-        # view of what is admitted, before shard reconciliation.
-        recovered: Dict[int, Tuple[Dict[int, int], Allocation]] = {}
-        srid_to_gid: Dict[Tuple[int, int], int] = {}
-        # Fragments of WAL-acknowledged releases: a shard that was down
-        # for its fragment release still journals the tenancy as active,
-        # and the orphan sweep must finish the release, not resurrect it.
-        released_srids: set = set()
-
-        def remember_admit(
-            gid: int, srids: Dict[int, int], allocation: Allocation, key: Optional[str]
-        ) -> None:
-            if gid in recovered:
-                return
-            recovered[gid] = (dict(srids), allocation)
-            for shard_index, srid in srids.items():
-                srid_to_gid[(shard_index, srid)] = gid
-            if key is not None:
-                self._idem[key] = self._decision(gid, "admitted", None)
-            self.admitted_count += 1
-
+        allocations: Dict[int, Allocation] = {}
+        open_intents: Dict[Tuple[bool, int], Dict[str, Any]] = {}
+        aborted_rounds: List[Dict[str, Any]] = []
+        released: Dict[Tuple[int, int], int] = {}  # fragment -> released gid
         max_gid = 0
         for record in Journal.iter_records(self._wal.path):
-            op = record.get("op")
             gid = int(record.get("gid", 0))
             max_gid = max(max_gid, gid)
-            if op == OP_RINTENT:
-                open_rintents[gid] = record
-            elif op == OP_RADMIT:
-                key = record.get("idem")
-                open_rintents.pop(gid, None)
-                shard_index = int(record["shard"])
-                srid = int(record["srid"])
-                if (shard_index, srid) in srid_to_gid:
-                    if key is not None:
-                        existing = srid_to_gid[(shard_index, srid)]
-                        self._idem[key] = self._decision(existing, "admitted", None)
-                    continue
-                allocation = allocation_from_dict(record["allocation"])
-                remember_admit(gid, {shard_index: srid}, allocation, key)
-            elif op == OP_RREJECT:
-                key = record.get("idem")
-                open_rintents.pop(gid, None)
-                if key is not None:
-                    self._idem[key] = self._decision(gid, "rejected", None)
-                self.rejected_count += 1
-            elif op == OP_XINTENT:
-                open_xintents[gid] = record
-            elif op == OP_XCOMMIT:
-                open_rintents.pop(gid, None)
-                intent = open_xintents.pop(gid, None)
-                if intent is None:
-                    continue
-                allocation = allocation_from_dict(intent["allocation"])
-                srids = {
-                    int(shard_index): int(srid)
-                    for shard_index, srid in record.get("srids", {}).items()
-                }
-                remember_admit(gid, srids, allocation, record.get("idem"))
-            elif op == OP_XABORT:
-                intent = open_xintents.pop(gid, None)
-                if intent is not None:
-                    closed_xintents.append(intent)
-            elif op == OP_RELEASE:
-                entry = recovered.pop(gid, None)
-                open_resizes.pop(gid, None)
-                if entry is None:
-                    continue
-                for shard_index, srid in entry[0].items():
-                    srid_to_gid.pop((shard_index, srid), None)
-                    released_srids.add((shard_index, srid))
-            elif op == OP_RSINTENT:
-                self._resize_seq = max(self._resize_seq, int(record.get("rseq", 0)))
-                open_resizes[gid] = record
-            elif op == OP_RSDONE:
-                open_resizes.pop(gid, None)
-                outcome = str(record.get("outcome", RESIZE_REJECTED))
-                key = record.get("idem")
-                if key is not None:
-                    self._idem[key] = self._decision(gid, outcome, None)
-                if outcome in self.resize_counts and not record.get("reconciled"):
-                    self.resize_counts[outcome] += 1
-                if "allocation" in record and gid in recovered:
-                    srids, _stale = recovered[gid]
-                    recovered[gid] = (
-                        srids, allocation_from_dict(record["allocation"])
-                    )
+            kind = record.get("kind")
+            # One open submit intent per gid (a cross round supersedes the
+            # local intent it followed); a resize of the gid has its own.
+            slot = (kind == KIND_RESIZE, gid)
+            if record.get("op") == OP_INTENT and kind == KIND_RELEASE:
+                open_intents.pop((True, gid), None)
+                allocations.pop(gid, None)
+                for fragment in self._forget(gid).items():
+                    released[fragment] = gid
+            elif record.get("op") == OP_INTENT:
+                open_intents[slot] = record
+                rseq = int(record.get("payload", {}).get("rseq", 0))
+                self._resize_seq = max(self._resize_seq, rseq)
+            elif record.get("op") == OP_OUTCOME:
+                intent = open_intents.pop(slot, None)
+                if kind == KIND_CROSS and record.get("status") == ABORTED and intent:
+                    aborted_rounds.append(intent)
+                self._replay_outcome(record, allocations)
             # Unknown ops are skipped (forward compatibility).
         self._next_gid = max(self._next_gid, max_gid + 1)
 
-        # Presumed abort: release fragments of rounds that never committed
-        # (journaled aborts whose fragment releases may not have landed,
-        # plus intents dangling at the crash).
-        for intent in closed_xintents:
-            self._presume_abort(intent, journal_abort=False)
-        for gid, intent in sorted(open_xintents.items()):
-            self._presume_abort(intent, journal_abort=True)
-
-        # Resolve in-flight submits against the routed shard's journal.
-        for gid, record in sorted(open_rintents.items()):
-            shard_index = int(record["shard"])
-            skey = record.get("skey")
-            key = record.get("idem")
-            found = self._shard_idem(shard_index, skey) if skey else None
+        active = {shard.index: self._shard_active(shard.index) for shard in self.shards}
+        for intent in aborted_rounds:
+            self._presume_abort(intent)
+        for (_resize, gid), intent in sorted(open_intents.items()):
+            payload = intent.get("payload", {})
+            if intent["kind"] == KIND_CROSS:
+                self._presume_abort(intent)
+                self._settle_recovered(KIND_CROSS, gid, ABORTED, allocations)
+                continue
+            shard_index = int(payload["shard"])
+            found = self._shard_idem(shard_index, payload["skey"])
             if found is None:
-                continue  # never reached a shard; a retry starts fresh
-            if found.get("outcome") == "admitted":
-                srid = found.get("request_id")
-                allocation = found.get("allocation")
-                if srid is None or allocation is None:
-                    # Journaled at the shard but since released — the
-                    # coordinator rolled it back before the crash.
-                    continue
-                if (shard_index, int(srid)) in srid_to_gid:
-                    if key is not None:
-                        self._idem[key] = self._decision(
-                            srid_to_gid[(shard_index, int(srid))],
-                            "admitted", None,
-                        )
-                    continue
-                view = self.shards[shard_index].view
-                global_allocation = view.allocation_to_global(allocation, request_id=gid)
-                self._wal.append(
-                    OP_RADMIT,
-                    gid=gid,
-                    shard=shard_index,
-                    srid=int(srid),
-                    idem=key,
-                    allocation=allocation_to_dict(global_allocation),
-                )
-                remember_admit(gid, {shard_index: int(srid)}, global_allocation, key)
-            elif found.get("outcome") == "rejected" and self.num_shards == 1:
-                # With one shard the shard's decision IS the decision.  In
-                # a multi-shard cluster a local reject only means "did not
-                # fit here" — the cross-shard path never concluded, so the
-                # outcome stays unknown and a retry re-decides.
-                if key is not None:
-                    self._wal.append(OP_RREJECT, gid=gid, idem=key)
-                    self._idem[key] = self._decision(gid, "rejected", None)
-                self.rejected_count += 1
-
-        # Finish releases that were acknowledged by some shards only (or
-        # whose WAL record was lost in a roll-forward): a gid with ANY
-        # fragment gone from its shard was being released — shards are the
-        # source of truth, so drop it and release the remaining fragments.
-        live_by_shard: Dict[int, Dict[int, Allocation]] = {
-            shard.index: self._shard_active(shard.index) for shard in self.shards
-        }
-        active_by_shard = {
-            shard_index: set(active) for shard_index, active in live_by_shard.items()
-        }
-        for gid in sorted(list(recovered)):
-            fragments = recovered[gid][0]
-            if all(
-                srid in active_by_shard.get(shard_index, set())
-                for shard_index, srid in fragments.items()
-            ):
-                continue
-            for shard_index, srid in sorted(fragments.items()):
-                if srid in active_by_shard.get(shard_index, set()):
-                    try:
-                        self.shards[shard_index].release(srid)
-                        active_by_shard[shard_index].discard(srid)
-                    except ServiceError:
-                        logger.warning(
-                            "recovery: gid=%d fragment on shard %d not releasable",
-                            gid, shard_index,
-                        )
-                srid_to_gid.pop((shard_index, srid), None)
-            recovered.pop(gid, None)
-            self._wal.append(OP_RELEASE, gid=gid)
-
-        # Resolve in-flight resizes against the owning shard's journal: an
-        # intent without a done record means the crash hit between the two
-        # appends — the shard either never saw the round (nothing changed)
-        # or committed it (its journal is authoritative for the new size).
-        for gid, record in sorted(open_resizes.items()):
-            if gid not in recovered:
-                continue
-            shard_index = int(record["shard"])
-            srid = int(record["srid"])
-            skey = record.get("skey")
-            key = record.get("idem")
-            found = self._shard_idem(shard_index, skey) if skey else None
-            if found is None:
-                continue  # never reached the shard; a retry starts fresh
-            outcome = found.get("outcome")
-            if outcome in (RESIZE_IN_PLACE, RESIZE_REPLACED):
-                live = live_by_shard.get(shard_index, {}).get(srid)
-                if live is None:
-                    continue  # the release pass already settled this gid
-                view = self.shards[shard_index].view
-                live_global = view.allocation_to_global(live, request_id=gid)
-                self._wal.append(
-                    OP_RSDONE,
-                    gid=gid,
-                    shard=shard_index,
-                    srid=srid,
-                    outcome=outcome,
-                    idem=key,
-                    allocation=allocation_to_dict(live_global),
-                )
-                srids = recovered[gid][0]
-                recovered[gid] = (srids, live_global)
-                if key is not None:
-                    self._idem[key] = self._decision(gid, outcome, None)
-                self.resize_counts[outcome] += 1
-            elif outcome == RESIZE_REJECTED:
-                self._wal.append(
-                    OP_RSDONE, gid=gid, outcome=RESIZE_REJECTED, idem=key
-                )
-                if key is not None:
-                    self._idem[key] = self._decision(gid, RESIZE_REJECTED, None)
-                self.resize_counts[RESIZE_REJECTED] += 1
-
-        # Shard-authoritative size reconciliation: whatever the WAL believes
-        # a single-fragment tenant's allocation is, the shard's live tenancy
-        # wins (a resize whose done record was rolled forward past a WAL
-        # failure is re-derived here — no tenant stays half-sized).
-        for gid in sorted(recovered):
-            srids, allocation = recovered[gid]
-            if len(srids) != 1:
-                continue
-            ((shard_index, srid),) = srids.items()
-            live = live_by_shard.get(shard_index, {}).get(srid)
-            if live is None:
-                continue
+                continue  # never reached its shard; a retry starts fresh
+            answer = found.get("outcome")
+            srid = payload.get("srid", found.get("request_id"))
+            live = None if srid is None else active[shard_index].get(int(srid))
             view = self.shards[shard_index].view
-            live_global = view.allocation_to_global(live, request_id=gid)
-            if self._footprint(live_global) != self._footprint(allocation):
-                self._wal.append(
-                    OP_RSDONE,
-                    gid=gid,
-                    shard=shard_index,
-                    srid=srid,
-                    outcome=RESIZE_IN_PLACE,
-                    reconciled=True,
-                    allocation=allocation_to_dict(live_global),
-                )
-                recovered[gid] = (srids, live_global)
-
-        # Orphan sweep: shard tenancies the coordinator WAL never linked
-        # (crash between shard ack and the radmit append).  Re-attach them
-        # under fresh global ids so no acked-at-the-shard resource is lost.
-        for shard in self.shards:
-            active = self._shard_active(shard.index)
-            for srid in sorted(active):
-                if (shard.index, srid) in srid_to_gid:
+            key = intent.get("idem")
+            if intent["kind"] == KIND_LOCAL and answer == "admitted" and live is not None:
+                owner = self._srid_map.get((shard_index, int(srid)))
+                if owner is not None:
+                    # An earlier recovery re-attached it as an orphan.
+                    self._remember(key, self._decision(owner, "admitted", None))
                     continue
-                if (shard.index, srid) in released_srids:
+                self._settle_recovered(
+                    KIND_LOCAL, gid, COMMITTED, allocations, key,
+                    **self._admitted_payload(
+                        {shard_index: int(srid)},
+                        view.allocation_to_global(live, request_id=gid),
+                    ),
+                )
+            elif intent["kind"] == KIND_LOCAL:
+                # Rejected, or admitted and rolled back before the crash.  A
+                # local reject is the decision only with one shard; otherwise
+                # the cross path never concluded and a retry re-decides.
+                rejected = answer == "rejected" and self.num_shards == 1
+                self._settle_recovered(
+                    KIND_LOCAL, gid, ABORTED, allocations, key,
+                    **({"decision": "rejected"} if rejected else {}),
+                )
+            elif gid not in allocations:
+                continue  # released meanwhile; nothing left to resize
+            elif answer in (RESIZE_IN_PLACE, RESIZE_REPLACED) and live is not None:
+                self._settle_recovered(
+                    KIND_RESIZE, gid, COMMITTED, allocations, key, decision=answer,
+                    allocation=allocation_to_dict(
+                        view.allocation_to_global(live, request_id=gid)
+                    ),
+                )
+            elif answer == RESIZE_REJECTED:
+                self._settle_recovered(
+                    KIND_RESIZE, gid, ABORTED, allocations, key,
+                    decision=RESIZE_REJECTED,
+                )
+
+        for gid in sorted(allocations):
+            fragments = self._gid_map[gid]
+            if any(srid not in active[shard] for shard, srid in fragments.items()):
+                # Shards are the truth: a tenant with a fragment gone was
+                # being released (or never landed); finish the release.
+                self._journal(OP_INTENT, KIND_RELEASE, gid)
+                del allocations[gid]
+                self._free(gid, self._forget(gid))
+                continue
+            if len(fragments) != 1:
+                continue
+            ((shard_index, srid),) = fragments.items()
+            live = self.shards[shard_index].view.allocation_to_global(
+                active[shard_index][srid], request_id=gid
+            )
+            if self._footprint(live) != self._footprint(allocations[gid]):
+                self._settle_recovered(
+                    KIND_RESIZE, gid, COMMITTED, allocations,
+                    decision=RESIZE_IN_PLACE, reconciled=True,
+                    allocation=allocation_to_dict(live),
+                )
+
+        for shard in self.shards:
+            live_now = self._shard_active(shard.index)
+            for srid in sorted(live_now):
+                if (shard.index, srid) in self._srid_map:
+                    continue
+                if (shard.index, srid) in released:
                     # The WAL acknowledged this tenant's release; the shard
                     # was down for its fragment — finish the release now.
-                    try:
-                        shard.release(srid)
-                    except ServiceError:
-                        logger.warning(
-                            "recovery: released gid's fragment on shard %d "
-                            "srid %d not releasable", shard.index, srid,
-                        )
+                    self._free(released[(shard.index, srid)], {shard.index: srid})
                     continue
-                allocation = active[srid]
                 gid = self._next_gid
                 self._next_gid += 1
-                global_allocation = shard.view.allocation_to_global(
-                    allocation, request_id=gid
+                orphan = shard.view.allocation_to_global(live_now[srid], request_id=gid)
+                self._settle_recovered(
+                    KIND_LOCAL, gid, COMMITTED, allocations,
+                    **self._admitted_payload({shard.index: srid}, orphan),
                 )
-                self._wal.append(
-                    OP_RADMIT,
-                    gid=gid,
-                    shard=shard.index,
-                    srid=srid,
-                    idem=None,
-                    allocation=allocation_to_dict(global_allocation),
-                )
-                remember_admit(gid, {shard.index: srid}, global_allocation, None)
 
-        # Adopt the reconciled set: every fragment is live at its shard and
-        # every shard is internally capacity-consistent, so the union fits
-        # the replica by construction (machines and pod-internal links are
-        # owned by exactly one shard each).
-        for gid in sorted(recovered):
-            srids, allocation = recovered[gid]
-            self.replica.adopt(allocation)
-            core = core_demands_of(allocation, self.partition.core_link_ids)
-            if core:
-                self.ledger.commit_direct(gid, core)
-            self._gid_map[gid] = dict(srids)
-            for shard_index, srid in srids.items():
-                self._srid_map[(shard_index, srid)] = gid
+        # Every fragment is live at its shard and every shard is internally
+        # capacity-consistent, so the union fits the replica by construction
+        # (machines and pod-internal links are owned by exactly one shard).
+        for gid in sorted(allocations):
+            self._mirror(gid, allocations[gid])
+
+    def _replay_outcome(
+        self, record: Dict[str, Any], allocations: Dict[int, Allocation]
+    ) -> None:
+        """Apply one outcome record to the recovering maps and counters."""
+        gid = int(record["gid"])
+        payload = record.get("payload") or {}
+        decision = payload.get("decision")
+        if record.get("kind") == KIND_RESIZE:
+            if "allocation" in payload and gid in allocations:
+                allocations[gid] = allocation_from_dict(payload["allocation"])
+            if payload.get("reconciled"):
+                return
+            if decision in self.resize_counts:
+                self.resize_counts[decision] += 1
+        elif record.get("status") == COMMITTED:
+            self._attach(gid, {
+                int(shard_index): int(srid)
+                for shard_index, srid in payload["srids"].items()
+            })
+            allocations[gid] = allocation_from_dict(payload["allocation"])
+        elif decision == "rejected":
+            self.rejected_count += 1
+        if decision is not None:
+            self._remember(record.get("idem"), self._decision(gid, decision, None))
+
+    def _settle_recovered(
+        self,
+        kind: str,
+        gid: int,
+        status: str,
+        allocations: Dict[int, Allocation],
+        key: Optional[str] = None,
+        **payload: Any,
+    ) -> None:
+        """Journal a recovery-decided outcome and apply it as replay would."""
+        self._replay_outcome(
+            self._journal(OP_OUTCOME, kind, gid, status=status, idem=key, payload=payload),
+            allocations,
+        )
+
+    def _presume_abort(self, intent: Dict[str, Any]) -> None:
+        """Free any fragment a round that never committed left adopted."""
+        payload = intent.get("payload", {})
+        for shard_index in payload.get("shards", []):
+            found = self._shard_idem(shard_index, payload["fkey"]) or {}
+            # An allocation means the fragment is still live at its shard.
+            if found.get("outcome") == "admitted" and found.get("allocation") is not None:
+                self._free(int(intent["gid"]), {shard_index: int(found["request_id"])})
 
     @staticmethod
     def _footprint(allocation: Allocation) -> Dict[str, Any]:
@@ -1602,31 +1263,6 @@ class ClusterCoordinator:
         payload = allocation_to_dict(allocation)
         payload.pop("host_node", None)
         return payload
-
-    def _presume_abort(self, intent: Dict[str, Any], journal_abort: bool) -> None:
-        """Release any adopted fragments of a round that never committed."""
-        gid = int(intent["gid"])
-        fragment_key = intent.get("fkey")
-        if fragment_key is not None:
-            for shard_text in intent.get("fragments", {}):
-                shard_index = int(shard_text)
-                found = self._shard_idem(shard_index, fragment_key)
-                if (
-                    found is not None
-                    and found.get("outcome") == "admitted"
-                    and found.get("request_id") is not None
-                    and found.get("allocation") is not None
-                ):
-                    try:
-                        self.shards[shard_index].release(int(found["request_id"]))
-                    except ServiceError:
-                        logger.warning(
-                            "presumed abort: gid=%d fragment on shard %d not "
-                            "releasable", gid, shard_index,
-                        )
-        self.ledger.abort(gid)
-        if journal_abort and self._wal is not None:
-            self._wal.append(OP_XABORT, gid=gid)
 
     def _shard_idem(self, shard_index: int, key: str) -> Optional[Dict[str, Any]]:
         try:
@@ -1657,5 +1293,8 @@ class ClusterCoordinator:
         return payload
 
     def _remember(self, key: Optional[str], payload: Dict[str, Any]) -> None:
-        if key is not None:
-            self._idem[key] = dict(payload)
+        if key is None:
+            return
+        self._idem[key] = dict(payload)
+        if payload["outcome"] == "admitted":
+            self._admitted_by[payload["request_id"]] = key

@@ -27,11 +27,14 @@ replay from seq 0 must always reproduce the same state, which is what the
 oracle-replay tests exercise.
 
 Failure handling: a failed append (I/O error, failed fsync, torn write)
-marks the tail *dirty* — the bytes past the last known-good offset can no
-longer be trusted, because a record whose append raised was never
-acknowledged and must not reappear on replay.  The next append first
-truncates back to the good offset, so the on-disk journal always equals
-the sequence of successfully acknowledged appends.  The compiled
+truncates the file back to the last known-good offset before the error
+propagates — a record whose append raised was never acknowledged and must
+not reappear on replay, even if the process dies before its next append.
+If that truncation itself fails, the tail stays *dirty* and the next
+append repairs it first, so the on-disk journal always equals the
+sequence of successfully acknowledged appends.  An injected crash models
+a real death and leaves the tail exactly as the dying write left it.  The
+compiled
 failpoints ``journal.write`` (error/crash/corrupt — corrupt writes a torn
 half-line), ``journal.fsync`` (error before the fsync call) and
 ``snapshot.write`` (error, or corrupt = a truncated snapshot file) let the
@@ -135,10 +138,12 @@ class Journal:
     def append(self, op: str, **fields: Any) -> int:
         """Durably append one record; returns its sequence number.
 
-        On any failure the record does not count as appended: the tail is
-        marked dirty and the next append truncates back to the last good
-        offset, so a record whose append raised (and was therefore never
-        acknowledged) can never resurface on replay.
+        On any failure the record does not count as appended: the file is
+        truncated back to the last good offset before the error propagates
+        (or, if that fails, by the next append), so a record whose append
+        raised (and was therefore never acknowledged) can never resurface
+        on replay.  :class:`InjectedCrash` is a simulated death and leaves
+        the tail as written.
         """
         if self._tail_dirty:
             self._repair_tail()
@@ -162,6 +167,13 @@ class Journal:
                 # every fsync-gated WAL must take.
                 FAILPOINTS.hit(FP_JOURNAL_FSYNC)
                 os.fsync(self._file.fileno())
+        except Exception:
+            self._tail_dirty = True
+            try:
+                self._repair_tail()
+            except OSError:
+                pass  # still dirty: the next append retries the repair
+            raise
         except BaseException:
             self._tail_dirty = True
             raise

@@ -1,7 +1,7 @@
 """Cluster chaos referee: a small in-suite sample of the CI sweep.
 
-CI runs ``svc-repro cluster --chaos 200``; tier-1 keeps a three-seed
-sample so a referee regression fails fast without the full sweep's cost.
+CI runs ``svc-repro cluster --chaos 200``; tier-1 keeps a small sample
+so a referee regression fails fast without the full sweep's cost.
 """
 
 import pytest
@@ -34,3 +34,12 @@ def test_schedule_holds_invariants(seed, tmp_path):
     assert result.ok, f"seed {seed} violations: {result.failures}"
     # A planned crash may cut the workload short; some ops must still run.
     assert 0 < result.operations_run <= 25
+
+
+def test_seed_18_leaves_no_key_naming_a_dropped_tenant(tmp_path):
+    # At the CLI's 40 operations, seed 18 once recovered an admission
+    # record whose append had failed after its bytes were written; the
+    # tenant was dropped but its key still answered "admitted", so the
+    # retry was deduplicated onto a tenancy that did not exist.
+    result = run_cluster_chaos_schedule(18, tmp_path / "run18", shards=2, operations=40)
+    assert result.ok, f"seed 18 violations: {result.failures}"

@@ -1,14 +1,14 @@
 """Cluster resize: shard routing, two-phase deltas, crash reconciliation.
 
-The crash tests bracket the coordinator's resize WAL protocol
-(``OP_RSINTENT`` -> shard resize -> ``OP_RSDONE``):
+The crash tests bracket the coordinator's resize WAL protocol (a
+``resize`` intent -> shard resize -> its outcome record):
 
 * crash **before** the intent record — the shard was never asked, so
   recovery comes back at the old size;
-* crash **after** the done record — the decision is durable, recovery
+* crash **after** the outcome record — the decision is durable, recovery
   comes back at the new size;
 * crash **between** (the shard journaled its resize, the coordinator's
-  done record is missing) — recovery resolves the open intent against the
+  outcome record is missing) — recovery resolves the open intent against the
   shard's idempotency table and rolls forward.
 
 In every case the coordinator's replica and the owning shard agree on the
@@ -216,7 +216,7 @@ class TestClusterResizeRecovery:
 
         shards, coordinator = self.restart(partition, tmp_path)
         try:
-            # The done record hit the WAL before the crash: durable.
+            # The outcome record hit the WAL before the crash: durable.
             assert_never_half_sized(coordinator, shards, gid, 9)
             assert sum(coordinator.resize_counts.values()) == 1
         finally:

@@ -8,6 +8,7 @@ single-node stack.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -133,7 +134,8 @@ class TestWalFailures:
         shards = [LocalShard(view, None) for view in partition.shards]
         coordinator = ClusterCoordinator(partition, shards, directory=tmp_path)
         try:
-            # Append #1 is the rintent, #2 the radmit: fail the radmit.
+            # Append #1 is the local intent, #2 its committed outcome (the
+            # record once called radmit): fail the outcome.
             FAILPOINTS.arm(FP_JOURNAL_WRITE, "error", every=2)
             with pytest.raises(CoordinatorError, match="rolled back"):
                 coordinator.submit(small_request(), idempotency_key="k1")
@@ -146,6 +148,109 @@ class TestWalFailures:
             decision = coordinator.submit(small_request(), idempotency_key="k1")
             assert decision["outcome"] == "admitted"
             assert decision.get("deduped") is None
+        finally:
+            shutdown(coordinator, shards)
+
+
+class _StallingShard(LocalShard):
+    """A shard that frees capacity, then stalls before answering.
+
+    ``release`` and ``resize`` run to completion at the shard, signal
+    ``freed`` and block until ``proceed`` is set — the window in which a
+    concurrent submit can take the freed slots at the shard while the
+    coordinator has not yet heard back.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.freed = threading.Event()
+        self.proceed = threading.Event()
+
+    def _stall(self):
+        self.freed.set()
+        assert self.proceed.wait(10.0)
+
+    def release(self, request_id):
+        released = super().release(request_id)
+        self._stall()
+        return released
+
+    def resize(self, request_id, **kwargs):
+        decision = super().resize(request_id, **kwargs)
+        self._stall()
+        return decision
+
+
+class TestMirrorOrder:
+    """The replica never holds capacity its shard has already freed."""
+
+    @staticmethod
+    def _full_cluster():
+        partition = ClusterPartition.build(TINY_SPEC, 2)
+        shards = [_StallingShard(view, None) for view in partition.shards]
+        coordinator = ClusterCoordinator(partition, shards)
+        # One shard-sized tenant per shard: both shards are full.
+        filler = small_request(n_vms=32, mean=1.0, std=0.5)
+        gids = [coordinator.submit(filler)["request_id"] for _ in shards]
+        assert [sorted(coordinator.fragments_of(gid)) for gid in gids] == [[0], [1]]
+        return shards, coordinator, gids
+
+    @staticmethod
+    def _race(shards, coordinator, operation, n_vms):
+        """Run ``operation`` in a thread; submit into the slots it frees."""
+        outcome = {}
+        worker = threading.Thread(
+            target=lambda: outcome.setdefault("result", operation())
+        )
+        worker.start()
+        try:
+            assert shards[0].freed.wait(10.0)
+            decision = coordinator.submit(
+                small_request(n_vms=n_vms, mean=1.0, std=0.5)
+            )
+        finally:
+            shards[0].proceed.set()
+            worker.join(10.0)
+        return decision, outcome.get("result")
+
+    @staticmethod
+    def _assert_coherent(shards, coordinator):
+        live = sum(shard.stats()["active_tenancies"] for shard in shards)
+        fragments = sum(
+            len(coordinator.fragments_of(gid)) for gid in list(coordinator._gid_map)
+        )
+        assert live == fragments
+        for shard in shards:
+            assert coordinator.shard_free_slots(shard.index) == (
+                shard.stats()["free_slots"]
+            )
+
+    def test_submit_during_release_lands_in_the_freed_slots(self):
+        shards, coordinator, gids = self._full_cluster()
+        try:
+            decision, released = self._race(
+                shards, coordinator, lambda: coordinator.release(gids[0]), 32
+            )
+            assert released is True
+            assert decision["outcome"] == "admitted"
+            assert coordinator.fragments_of(decision["request_id"]) is not None
+            assert coordinator.active_tenancies == 2
+            self._assert_coherent(shards, coordinator)
+        finally:
+            shutdown(coordinator, shards)
+
+    def test_submit_during_resize_shrink_lands_in_the_freed_slots(self):
+        shards, coordinator, gids = self._full_cluster()
+        try:
+            decision, resized = self._race(
+                shards, coordinator,
+                lambda: coordinator.resize(gids[0], new_n=16), 16,
+            )
+            assert resized["outcome"] in ("in_place", "replaced")
+            assert decision["outcome"] == "admitted"
+            assert coordinator.active_tenancies == 3
+            assert coordinator.replica.get_tenancy(gids[0]).n_vms == 16
+            self._assert_coherent(shards, coordinator)
         finally:
             shutdown(coordinator, shards)
 

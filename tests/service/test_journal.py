@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.faults.failpoints import FAILPOINTS, FP_JOURNAL_FSYNC, FailpointError
 from repro.service.journal import DurabilityStore, Journal, ReplaySummary
 
 
@@ -65,6 +66,22 @@ class TestJournal:
         records = Journal.replay(path)
         assert [r["seq"] for r in records] == [1, 2]
         assert [r["index"] for r in records] == [0, 1]
+
+    def test_failed_fsync_record_never_resurfaces(self, tmp_path):
+        # The bytes of the failed append reach the file before the fsync
+        # fails; closing without a further append must not leave them
+        # behind for replay to pick up.
+        path = tmp_path / "wal.jsonl"
+        journal = Journal(path, fsync=True)
+        try:
+            journal.append("admit", index=0)
+            FAILPOINTS.arm(FP_JOURNAL_FSYNC, "error", max_hits=1)
+            with pytest.raises(FailpointError):
+                journal.append("admit", index=1)
+        finally:
+            FAILPOINTS.clear()
+            journal.close()
+        assert [r["index"] for r in Journal.iter_records(path)] == [0]
 
     def test_missing_file_replays_empty(self, tmp_path):
         assert Journal.replay(tmp_path / "absent.jsonl") == []
